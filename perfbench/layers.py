@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-SERVE = "serve_module_miss"
 FLEET = "fleet_file_mix"
 TRAIN = "train_js_vars"
-ALL = {SERVE, FLEET, TRAIN}
-SERVED = {SERVE, FLEET}
+ALL = {FLEET, TRAIN}
 
 #: Span -> workloads on which it must fire.  On every other workload it
 #: must fire zero times: the layer is bypassed there.
@@ -23,11 +21,11 @@ EXPECTED = {
     "fleet.ast_digest": {FLEET},
     "fleet.route": {FLEET},
     "fleet.forward": {FLEET},
-    "serving.predict": SERVED,
-    "serving.fingerprint": SERVED,
-    "serving.cache_get": SERVED,
-    "serving.submit": SERVED,
-    "serving.score_batch": SERVED,
+    "serving.predict": {FLEET},
+    "serving.fingerprint": {FLEET},
+    "serving.cache_get": {FLEET},
+    "serving.submit": {FLEET},
+    "serving.score_batch": {FLEET},
     "core.extract": ALL,
     "tasks.graph": ALL,
     "crf.map": ALL,

@@ -123,37 +123,6 @@ async def _send(connection: Connection, index: int, due: float, body: bytes) -> 
         )
 
 
-async def closed_loop(
-    url: str, bodies: Sequence[bytes], connections: int, seconds: float
-) -> Tuple[List[Sample], float]:
-    """Each connection sends its next body when the previous one answered.
-
-    Stops issuing after ``seconds`` (or when the bodies run out) and
-    returns every sample with the loop's start time.
-    """
-    check_footprint(connections)
-    samples: List[Sample] = []
-    started = time.perf_counter()
-    stop_at = started + seconds
-    cursor = iter(range(len(bodies)))
-
-    async def worker() -> None:
-        connection = Connection(url)
-        try:
-            while time.perf_counter() < stop_at:
-                index = next(cursor, None)
-                if index is None:
-                    return
-                now = time.perf_counter()
-                samples.append(await _send(connection, index, now, bodies[index]))
-        finally:
-            await connection.close()
-
-    await asyncio.gather(*(worker() for _ in range(connections)))
-    check_footprint(connections)
-    return samples, started
-
-
 async def open_loop(
     url: str, bodies: Sequence[bytes], offsets: Sequence[float], connections: int
 ) -> Tuple[List[Sample], float, List[float]]:

@@ -4,7 +4,7 @@ Usage (from the repository root)::
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Workloads: ``serve_module_miss``, ``fleet_file_mix``, ``train_js_vars``.
+Workloads: ``fleet_file_mix``, ``train_js_vars``.
 With ``--trace 0`` the last line of standard output is a JSON object with
 every end-to-end metric; with ``--trace 1`` the run is repeated with
 layer tracing and the line carries the per-layer metrics and the
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import os
 import shutil
 import signal
@@ -33,26 +34,33 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK_ROOT = os.path.join(ROOT, ".perfbench_work")
 
-SERVE = "serve_module_miss"
 FLEET = "fleet_file_mix"
 TRAIN = "train_js_vars"
 
 #: Connections (and the generator's only thread) stay within nproc = 2.
 CONNECTIONS = 2
 #: Servers are spawned this many times per run; setup_s is the median.
-SETUP_SPAWNS = 3
-#: The served models are trained this many times per run (in one child
-#: process); train_s is the median.
-SERVED_TRAININGS = 5
+SETUP_SPAWNS = 7
 #: Open-loop arrival rate of fleet_file_mix (requests per second): about
-#: an eighth of the closed-loop capacity of the same mix.  The server
-#: runs on one interpreter lock, so a hit that arrives while a miss is
-#: scored waits; at a quarter of capacity a slow spell of the host pushed
-#: over half the hits into that wait and latency_p50_ms jumped.  See
-#: README.md.
+#: an eighth of the closed-loop capacity of the same mix.  The fleet runs
+#: on one interpreter lock, so a request that arrives while another is
+#: being served waits for it; at a quarter of capacity a slow spell of the
+#: host pushed over half the hits into that wait.  See README.md.
 FLEET_RATE = 12.0
-#: within_limit_share counts answers within this latency, per workload.
-LIMIT_MS = {SERVE: 2500.0, FLEET: 250.0, TRAIN: 100.0}
+#: The first requests of the fleet's stream are sent, one at a time, before
+#: the measured window, so the window starts with a warm cache and programs
+#: already popular instead of a burst of first requests to empty cells.
+FLEET_WARM_REQUESTS = 60
+#: within_limit_share counts answers within this latency, per workload:
+#: about 1.5 times the measured latency_tail_ms median, so that a slower
+#: miss path pushes answers past it.
+LIMIT_MS = {FLEET: 75.0, TRAIN: 100.0}
+#: While the load runs, each processor also runs this busy loop at idle
+#: priority (SCHED_IDLE), which yields to any other runnable thread at
+#: once.  It keeps the virtual CPUs from halting between requests: waking
+#: a halted one waits on the hypervisor, and on a shared host that wait
+#: swung latency_p50_ms by a quarter between runs.  See README.md.
+SPINNER = "import os\nos.sched_setscheduler(0, os.SCHED_IDLE, os.sched_param(0))\nwhile True:\n    pass\n"
 #: An open-loop run whose dispatcher ran later than this (tail) is invalid.
 LAG_BOUND_MS = 25.0
 #: train_js_vars repeats whole training cycles; at least this many.
@@ -74,14 +82,22 @@ class InvalidMeasurement(RuntimeError):
     """The load generator could not keep its schedule; nothing is reported."""
 
 
+#: latency_tail_ms is the highest percentile with at least this share of
+#: the samples, and never fewer than TAIL_MIN_BEYOND, beyond it.
+TAIL_BEYOND_SHARE = 0.05
+TAIL_MIN_BEYOND = 10
+
+
 def tail(values: List[float]) -> tuple:
     """(value, percentile, samples): the highest percentile with at least
-    ten samples beyond it (the maximum when there are fewer than 11)."""
+    max(TAIL_MIN_BEYOND, TAIL_BEYOND_SHARE of the samples) beyond it (the
+    maximum when there are too few samples)."""
     ordered = sorted(values)
     n = len(ordered)
-    if n < 11:
+    beyond = max(TAIL_MIN_BEYOND, math.ceil(n * TAIL_BEYOND_SHARE))
+    if n <= beyond:
         return ordered[-1], 100.0, n
-    index = n - 11
+    index = n - beyond - 1
     return ordered[index], 100.0 * (index + 1) / n, n
 
 
@@ -118,9 +134,7 @@ class Context:
 # ----------------------------------------------------------------------
 
 
-def train_in_child(
-    ctx: Context, cells: List[dict], tag: str, repeats: int = 1, traced: bool = False
-) -> dict:
+def train_in_child(ctx: Context, cells: List[dict], tag: str, traced: bool = False) -> dict:
     from workloads import SHARD_SIZE
 
     workdir = ctx.path(tag)
@@ -130,7 +144,7 @@ def train_in_child(
     trace_path = os.path.join(workdir, "trace.json")
     with open(job_path, "w", encoding="utf-8") as handle:
         json.dump(
-            {"workdir": workdir, "shard_size": SHARD_SIZE, "repeats": repeats, "cells": cells},
+            {"workdir": workdir, "shard_size": SHARD_SIZE, "cells": cells},
             handle,
         )
     argv = [ctx.python, os.path.join(HERE, "trainer.py"), job_path, result_path]
@@ -154,27 +168,16 @@ def _accuracy(cells: List[dict]) -> float:
 
 
 def train_served(ctx: Context, names: List[str]) -> dict:
-    """Train, pack and evaluate the served models SERVED_TRAININGS times.
-
-    Training is deterministic, so every repetition must reproduce the
-    first one's held-out accuracy exactly; the first one's artifacts are
-    served.
-    """
+    """Train, pack and evaluate the served models once, in one child."""
     from workloads import served_training_jobs
 
-    jobs = served_training_jobs(names)
-    runs = train_in_child(ctx, jobs, "models", repeats=SERVED_TRAININGS)["runs"]
-    totals = [sum(cell["train_s"] for cell in run) for run in runs]
-    accuracies = [_accuracy(run) for run in runs]
-    failures = sum(cell["mismatches"] for run in runs for cell in run)
-    failures += sum(1 for value in accuracies if value != accuracies[0])
+    cells = train_in_child(ctx, served_training_jobs(names), "models")["cells"]
     return {
-        "cells": runs[0],
-        "train_s": statistics.median(totals),
-        "train_s_runs": totals,
-        "heldout_accuracy": accuracies[0],
-        "checked": sum(cell["heldout_files"] for run in runs for cell in run),
-        "failures": failures,
+        "cells": cells,
+        "train_s": sum(cell["train_s"] for cell in cells),
+        "heldout_accuracy": _accuracy(cells),
+        "checked": sum(cell["heldout_files"] for cell in cells),
+        "failures": sum(cell["mismatches"] for cell in cells),
     }
 
 
@@ -345,11 +348,22 @@ def serve_phase(
         asyncio.run(_warm(server.url, warm_bodies))
         before = _server_counters(http_get(server.url, stats_path)[1], fleet)
         snap_before = _trace_snapshot(server.proc, prefix, 1) if traced else None
+        spinners = [
+            ctx.children.start(
+                [ctx.python, "-c", SPINNER],
+                ctx.path(f"{tag}-spin-{cpu}.out"),
+                ctx.path(f"{tag}-spin-{cpu}.err"),
+                {cpu},
+            )
+            for cpu in cpus
+        ]
         os.sched_setaffinity(0, client_cpus)
         try:
             samples, started, lags = drive(server.url)
         finally:
             os.sched_setaffinity(0, set(cpus))
+            for proc in spinners:
+                ctx.children.stop(proc)
         window = diff(_trace_snapshot(server.proc, prefix, 2), snap_before) if traced else None
         after = _server_counters(http_get(server.url, stats_path)[1], fleet)
         rss = peak_rss_mb(server.proc.pid)
@@ -401,7 +415,6 @@ def serving_outcome(
             {k: cell[k] for k in ("name", "train_files", "heldout_files", "epochs", "artifact_bytes")}
             for cell in training["cells"]
         ],
-        "served_train_s_runs": training["train_s_runs"],
     }
     service = [(s.done - s.sent) * 1000.0 for s in ok]
     return Outcome(
@@ -418,80 +431,22 @@ def serving_outcome(
     )
 
 
-def run_serve_module_miss(ctx: Context, traced: bool, shared: dict) -> Outcome:
-    import loadgen
-    from workloads import CELLS, Request, module_pool, module_warmup
-
-    if "training" not in shared:
-        shared["training"] = train_served(ctx, ["js_vars"])
-        shared["pool"] = module_pool(ctx.seed)
-        shared["warm"] = module_warmup(ctx.seed)
-    training = shared["training"]
-    artifacts = {cell["name"]: cell["artifact"] for cell in training["cells"]}
-    requests = [Request("js_vars", module) for module in shared["pool"]]
-    bodies = [json.dumps(r.body()).encode() for r in requests]
-    warm = [json.dumps(Request("js_vars", m).body()).encode() for m in shared["warm"]]
-    cell = CELLS["js_vars"]
-
-    def drive(url):
-        samples, started = asyncio.run(
-            loadgen.closed_loop(url, bodies, CONNECTIONS, ctx.seconds)
-        )
-        return samples, started, []
-
-    phase = serve_phase(
-        ctx,
-        ["serve", "--model", artifacts["js_vars"], "--port", "0", "--workers", "0"],
-        lambda health: f"{cell.language}/{cell.task}" in " ".join(health.get("models", [])),
-        warm,
-        drive,
-        fleet=False,
-        traced=traced,
-    )
-    if "oracle" not in shared:
-        shared["oracle"] = Oracle(artifacts)
-    outcome = serving_outcome(SERVE, phase, requests, shared["oracle"], training)
-    if len(phase.samples) >= len(requests):
-        raise InvalidMeasurement("the module pool ran out: requests would repeat")
-    sent = [requests[s.index] for s in phase.samples]
-    outcome.report.update(_module_contents(sent, shared["oracle"]))
-    if not traced:
-        outcome.attempted += training["checked"]
-        outcome.failed += training["failures"]
-        outcome.mismatches += training["failures"]
-    return outcome
-
-
-def _module_contents(sent: list, oracle: Oracle) -> dict:
-    from repro.lang.base import parse_source
-
-    chars = [len(r.source) for r in sent]
-    terminals = [len(parse_source("javascript", r.source).terminals()) for r in sent]
-    unknowns = [len(oracle.expected(r)["predictions"]) for r in sent]
-    return {
-        "modules_sent": len(sent),
-        "distinct_share": len({r.source for r in sent}) / len(sent),
-        "module_chars_mean": statistics.fmean(chars),
-        "module_terminals_mean": statistics.fmean(terminals),
-        "module_unknowns_mean": statistics.fmean(unknowns),
-        "module_unknowns_range": [min(unknowns), max(unknowns)],
-    }
-
-
 def run_fleet_file_mix(ctx: Context, traced: bool, shared: dict) -> Outcome:
     import loadgen
-    from workloads import FLEET_CELLS, fleet_requests, fleet_warmup, poisson_schedule
+    from workloads import FLEET_CELLS, fleet_requests, poisson_schedule
 
     if "training" not in shared:
         shared["training"] = train_served(ctx, FLEET_CELLS)
         shared["offsets"] = poisson_schedule(ctx.seed, FLEET_RATE, ctx.seconds)
-        shared["requests"] = fleet_requests(ctx.seed, len(shared["offsets"]))
+        stream = fleet_requests(ctx.seed, FLEET_WARM_REQUESTS + len(shared["offsets"]))
+        shared["warm"] = stream[:FLEET_WARM_REQUESTS]
+        shared["requests"] = stream[FLEET_WARM_REQUESTS:]
     training = shared["training"]
     artifacts = {cell["name"]: cell["artifact"] for cell in training["cells"]}
     requests = shared["requests"]
     offsets = shared["offsets"]
     bodies = [json.dumps(r.body()).encode() for r in requests]
-    warm = [json.dumps(r.body()).encode() for r in fleet_warmup(ctx.seed)]
+    warm = [json.dumps(r.body()).encode() for r in shared["warm"]]
     args = ["fleet", "serve", "--replicas", "2", "--in-process", "--port", "0"]
     for name in FLEET_CELLS:
         args += ["--model", artifacts[name]]
@@ -518,16 +473,41 @@ def run_fleet_file_mix(ctx: Context, traced: bool, shared: dict) -> Outcome:
         )
     sent = [requests[s.index] for s in phase.samples]
     distinct = len({(r.cell, r.source, r.top) for r in sent})
+    seen = set(shared["warm"])
+    repeats = 0
+    for request in sent:
+        repeats += request in seen
+        seen.add(request)
+    groups: Dict[str, List[float]] = {}
+    for sample in phase.samples:
+        if sample.ok:
+            kind = "hit" if sample.payload.get("cached") else "miss"
+            groups.setdefault(f"{requests[sample.index].cell}.{kind}", []).append(
+                (sample.done - sample.due) * 1000.0
+            )
+    tail_ms = outcome.e2e["latency_tail_ms"]
     outcome.report.update(
         {
             "offered_rate_rps": FLEET_RATE,
             "requests_sent": len(sent),
             "distinct_programs": distinct,
-            "repeat_share": 1.0 - distinct / len(sent),
+            "warm_requests": FLEET_WARM_REQUESTS,
+            # Requests whose program was sent before, warm-up included.
+            "repeat_share": repeats / len(sent),
             "translate_share": sum(1 for r in sent if r.cell == "java_translate") / len(sent),
             "top_share": sum(1 for r in sent if r.top) / len(sent),
             "cell_shares": {
                 name: sum(1 for r in sent if r.cell == name) / len(sent) for name in FLEET_CELLS
+            },
+            # Per cell and cache outcome: count, median latency and how
+            # many of the group lie beyond latency_tail_ms.
+            "latency_groups": {
+                name: {
+                    "n": len(values),
+                    "p50_ms": statistics.median(values),
+                    "beyond_tail": sum(1 for ms in values if ms > tail_ms),
+                }
+                for name, values in sorted(groups.items())
             },
         }
     )
@@ -559,7 +539,7 @@ def run_train_js_vars(ctx: Context, traced: bool, shared: dict) -> Outcome:
             len(results) >= MIN_CYCLES and time.perf_counter() - started >= ctx.seconds
         ):
             break
-    cells = [result["runs"][0][0] for result in results]
+    cells = [result["cells"][0] for result in results]
     latencies = [ms for cell in cells for ms in cell["latencies_ms"]]
     accuracies = [_accuracy([cell]) for cell in cells]
     mismatches = sum(cell["mismatches"] for cell in cells)
@@ -569,7 +549,7 @@ def run_train_js_vars(ctx: Context, traced: bool, shared: dict) -> Outcome:
     tail_ms, tail_pct, tail_n = tail(latencies)
     limit = LIMIT_MS[TRAIN]
     e2e = {
-        "setup_s": statistics.median(cell["setup_s"] for cell in cells),
+        "setup_s": statistics.median(value for cell in cells for value in cell["setup_s"]),
         "throughput_rps": statistics.median(
             cell["predictions"] / cell["predict_s"] for cell in cells
         ),
@@ -604,7 +584,6 @@ def run_train_js_vars(ctx: Context, traced: bool, shared: dict) -> Outcome:
 
 
 WORKLOADS = {
-    SERVE: run_serve_module_miss,
     FLEET: run_fleet_file_mix,
     TRAIN: run_train_js_vars,
 }

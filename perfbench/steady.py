@@ -8,8 +8,8 @@ Each run uses the next seed.  For every end-to-end metric the command
 prints the median, the quartiles (``statistics.quantiles(values, n=4)``),
 the spread ``(q3 - q1) / median`` against the metric's bound from
 ``BENCHMARK.json``, and with ``--sets 2`` whether the second set's median
-is worse than the first set's by more than the bound.  ``setup_s`` is
-gated on the median comparison only.  Exits 1 when a check fails.
+is worse than the first set's by more than the bound.  Exits 1 when a
+check fails.
 """
 
 from __future__ import annotations
@@ -90,11 +90,10 @@ def main(argv=None) -> int:
             for index, summaries in enumerate(sets):
                 summary = summaries[name]
                 verdict = "ok"
-                if name != "setup_s":
-                    if summary["spread"] > bound:
-                        verdict, failed = "TOO WIDE", True
-                    elif summary["spread"] > bound / 3:
-                        verdict = "wider than bound/3"
+                if summary["spread"] > bound:
+                    verdict, failed = "TOO WIDE", True
+                elif summary["spread"] > bound / 3:
+                    verdict = "wider than bound/3"
                 if index == 1:
                     drift = worse_by(metric, sets[0][name]["median"], summary["median"])
                     if drift > bound:

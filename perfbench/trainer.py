@@ -1,28 +1,30 @@
-"""One training cycle in its own process.
+"""One training run in its own process.
 
 Usage: ``python trainer.py JOB.json RESULT.json [TRACE.json]``
 
-The job is repeated ``repeats`` times, each repetition in its own
-directory.  For each cell of the job: build view shards from the sources
+For each cell of the job: build view shards from the sources
 (``build_spec_shards``), stream-train over them
 (``Pipeline.train(shards=...)``), pack the binary artifact
 (``Pipeline.save(format="binary")``), then open the artifact as the
 server does (``Pipeline.load(...).scoring_handle()``) and predict the
-held-out files.  The in-memory pipeline predicts the same files so the
-benchmark can check the packed artifact is bit-identical to it, and the
-views' gold labels give the exact-match accuracy.  With a third argument
-the layers are traced and the spans written there.
+held-out files.  The in-memory pipeline then predicts the same files so
+the benchmark can check the packed artifact is bit-identical to it, and
+the views' gold labels give the exact-match accuracy.  With a third
+argument the layers are traced and the spans written there; the trace
+ends after the packed artifact's predictions, so the checking work that
+follows is not in it.
 """
 
-import hashlib
 import json
 import os
 import sys
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 #: The held-out split is predicted this many times (more latency samples).
 HELDOUT_PASSES = 2
+#: The packed artifact is opened this many times; setup_s is their median.
+SETUP_REPEATS = 5
 
 
 def peak_rss_mb() -> float:
@@ -33,20 +35,11 @@ def peak_rss_mb() -> float:
     raise RuntimeError("VmHWM missing from /proc/self/status")
 
 
-def file_digest(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
-
-
 def run_cell(
-    cell: dict, workdir: str, shard_size: int, reference: Optional[dict] = None
+    cell: dict, workdir: str, shard_size: int, measured: Optional[Callable[[], None]] = None
 ) -> dict:
-    """Train, pack and evaluate one cell.
-
-    With ``reference`` (an earlier repetition of the same cell) a
-    byte-identical artifact proves the same model, so its evaluation is
-    reused; a different artifact is evaluated in full.
-    """
+    """Train, pack and evaluate one cell; ``measured`` is called when the
+    measured work is done and only checking is left."""
     import repro.shards
     from repro.api import Pipeline
 
@@ -65,15 +58,14 @@ def run_cell(
     pipeline.train(shards=shard_dir)
     pipeline.save(artifact, format="binary")
     train_s = time.perf_counter() - started
-    digest = file_digest(artifact)
-    if reference is not None and reference["digest"] == digest:
-        return dict(reference, artifact=artifact, train_s=train_s)
 
     heldout = cell["heldout"]
-    started = time.perf_counter()
-    handle = Pipeline.load(artifact).scoring_handle()
-    handle.predict(heldout[0])
-    setup_s = time.perf_counter() - started
+    setup_s = []
+    for _ in range(SETUP_REPEATS):
+        started = time.perf_counter()
+        handle = Pipeline.load(artifact).scoring_handle()
+        handle.predict(heldout[0])
+        setup_s.append(time.perf_counter() - started)
 
     latencies_ms = []
     for _ in range(HELDOUT_PASSES):
@@ -82,6 +74,8 @@ def run_cell(
             began = time.perf_counter()
             packed.append(handle.predict(source))
             latencies_ms.append((time.perf_counter() - began) * 1000.0)
+    if measured is not None:
+        measured()
 
     mismatches = 0
     right = total = 0
@@ -95,7 +89,6 @@ def run_cell(
     return {
         "name": name,
         "artifact": artifact,
-        "digest": digest,
         "artifact_bytes": os.path.getsize(artifact),
         "train_files": len(cell["train"]),
         "heldout_files": len(heldout),
@@ -114,31 +107,25 @@ def run_cell(
 def main(argv) -> int:
     if len(argv) not in (2, 3):
         raise SystemExit("usage: trainer.py JOB.json RESULT.json [TRACE.json]")
-    tracer = None
+    with open(argv[0], encoding="utf-8") as handle:
+        job = json.load(handle)
+    measured = None
     if len(argv) == 3:
         import spans
 
+        if len(job["cells"]) != 1:
+            raise SystemExit("a traced job trains exactly one cell")
         tracer = spans.install(spans.Tracer())
-    with open(argv[0], encoding="utf-8") as handle:
-        job = json.load(handle)
-    runs = []
-    for repeat in range(job["repeats"]):
-        workdir = os.path.join(job["workdir"], f"r{repeat}")
-        os.makedirs(workdir, exist_ok=True)
-        references = runs[0] if runs else [None] * len(job["cells"])
-        runs.append(
-            [
-                run_cell(cell, workdir, job["shard_size"], reference)
-                for cell, reference in zip(job["cells"], references)
-            ]
-        )
-    result = {"runs": runs, "peak_rss_mb": peak_rss_mb()}
-    if tracer is not None:
-        import spans
 
-        spans.write_json(argv[2], tracer.snapshot())
+        def measured():
+            spans.write_json(argv[2], tracer.snapshot())
+
+    os.makedirs(job["workdir"], exist_ok=True)
+    cells = [
+        run_cell(cell, job["workdir"], job["shard_size"], measured) for cell in job["cells"]
+    ]
     with open(argv[1], "w", encoding="utf-8") as handle:
-        json.dump(result, handle)
+        json.dump({"cells": cells, "peak_rss_mb": peak_rss_mb()}, handle)
     return 0
 
 

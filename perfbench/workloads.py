@@ -1,4 +1,4 @@
-"""Seeded inputs of the three workloads.
+"""Seeded inputs of the workloads.
 
 Every input comes from the generated corpus of :mod:`repro.corpus`.
 Request pools and arrival schedules derive from the workload seed, from
@@ -137,41 +137,6 @@ def train_job() -> dict:
 
 
 # ----------------------------------------------------------------------
-# serve_module_miss
-# ----------------------------------------------------------------------
-
-#: Target module size in characters: files are appended while below it.
-MODULE_CHARS = 4096
-#: Enough distinct modules for several times today's throughput.
-MODULE_POOL = 240
-
-
-def _modules(seed: int, count: int) -> List[str]:
-    files = _files("javascript", count + count // 4, seed, files_per_project=(6, 10))
-    modules = []
-    for group in _by_project(files):
-        parts: List[str] = []
-        size = 0
-        for file in group:
-            if size >= MODULE_CHARS:
-                break
-            parts.append(file.source)
-            size += len(file.source) + 2
-        if size >= MODULE_CHARS * 7 // 8:
-            modules.append("\n\n".join(parts))
-    return list(dict.fromkeys(modules))[:count]
-
-
-def module_pool(seed: int) -> List[str]:
-    """Distinct module-sized JS programs: one project's files concatenated."""
-    return _modules(30_000 + seed, MODULE_POOL)
-
-
-def module_warmup(seed: int) -> List[str]:
-    return _modules(40_000 + seed, 2)
-
-
-# ----------------------------------------------------------------------
 # fleet_file_mix
 # ----------------------------------------------------------------------
 
@@ -256,16 +221,6 @@ def fleet_requests(seed: int, count: int) -> List[Request]:
             request = cell_seen[index]
         requests.append(request)
     return requests
-
-
-def fleet_warmup(seed: int) -> List[Request]:
-    """One program per cell, never part of the measured pool."""
-    warm = []
-    for index, name in enumerate(FLEET_CELLS):
-        cell = CELLS[name]
-        files = _files(cell.language, 1, 50_000 + 10 * seed + index)
-        warm.append(Request(name, files[0].source))
-    return warm
 
 
 def poisson_schedule(seed: int, rate: float, seconds: float) -> List[float]:
