@@ -528,8 +528,10 @@ class ScoringHandle:
         lock; two sources differing only in layout share a digest, and
         (unlike the 32-bit terminal-sequence ``ast_fingerprint``, which
         only seeds downsampling) structurally different programs never
-        do.  The server uses the digest as its response-cache key and,
-        on a cache miss, hands the already-parsed program back to
+        do.  The server uses the digest as its response-cache key.  It
+        calls this only when its source-digest memo misses (a
+        byte-identical repeat is never parsed for its digest) and, on a
+        response-cache miss, hands the already-parsed program back to
         :meth:`predict` so the source is not parsed twice.
         """
         from ..core.extraction import ast_digest

@@ -1131,7 +1131,9 @@ def build_parser() -> argparse.ArgumentParser:
             "\n"
             "requests are micro-batched (--batch-size / --batch-wait-ms) and\n"
             "responses are cached by AST fingerprint (--cache-size), so\n"
-            "duplicate submissions skip extraction and inference entirely.\n"
+            "duplicate submissions skip extraction and inference entirely;\n"
+            "byte-identical repeats also skip parsing (a source -> digest\n"
+            "memo of the same size).\n"
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -1170,8 +1172,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-size",
         type=int,
         default=1024,
-        help="response-cache entries, keyed on AST fingerprint x task "
-        "(0 disables caching)",
+        help="response-cache entries, keyed on AST fingerprint x task; "
+        "also bounds the source -> digest memo (0 disables both)",
     )
     serve.set_defaults(func=cmd_serve)
 

@@ -4,9 +4,10 @@
 wire dialect as :class:`~repro.serving.server.PredictionServer`) that
 owns no model and scores nothing.  Its whole job is placement:
 
-* ``POST /predict`` -- parse the source *here* (the router runs the same
-  frontends the replicas do), derive the structural
-  :func:`~repro.core.extraction.ast_digest`, and forward the request --
+* ``POST /predict`` -- derive the structural
+  :func:`~repro.core.extraction.ast_digest` *here* (from the digest memo
+  for a byte-identical repeat, otherwise by parsing with the same
+  frontends the replicas run), and forward the request --
   body bytes untouched -- to the replica that owns
   ``digest x task`` on the :class:`~repro.fleet.ring.HashRing`.  Owner
   dead, draining or timed out?  One retry, after an exponential-backoff-
@@ -44,6 +45,7 @@ from ..core.extraction import ast_digest
 from ..lang.base import parse_source
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
+from ..serving.cache import LruCache, source_key
 from ..serving.http import (
     BadRequest,
     Connection,
@@ -51,6 +53,7 @@ from ..serving.http import (
     HttpRequest,
     read_request,
     respond,
+    surrogate_error,
 )
 from ..serving.metrics import FixedHistogram
 from .capacity import (
@@ -62,6 +65,10 @@ from .capacity import (
 )
 from .replicas import HEALTHY, Replica, ReplicaSet
 from .ring import DEFAULT_VNODES, HashRing, request_key
+
+#: Entries in the router's source -> digest memo (each a 32-byte source
+#: hash and a 32-character digest), shared across every replica's keys.
+DIGEST_MEMO_SIZE = 4096
 
 
 class FleetRouter:
@@ -86,6 +93,7 @@ class FleetRouter:
         self.poll_interval_s = float(poll_interval_s)
         self.ring = HashRing(vnodes=vnodes)
         self.admission = AdmissionController(max_inflight_per_replica)
+        self.digests = LruCache(DIGEST_MEMO_SIZE)
         self._pools: Dict[str, ConnectionPool] = {}
         self._routes: Dict[Tuple[str, str], str] = {}  # (language, task) -> cell
         self._server: Optional[asyncio.AbstractServer] = None
@@ -380,6 +388,9 @@ class FleetRouter:
         source = payload.get("source")
         if not isinstance(source, str) or not source.strip():
             return 400, {"error": "field 'source' (non-empty string) is required"}, None
+        invalid = surrogate_error(source)
+        if invalid is not None:
+            return 400, invalid, None
         language = payload.get("language")
         task = payload.get("task")
         for field_name, value in (("language", language), ("task", task)):
@@ -393,15 +404,20 @@ class FleetRouter:
 
         # The routing key is the same structural digest the replica's
         # response cache keys on, so one program always lands on the
-        # replica already holding its answer.  Parsing is CPU-bound:
-        # off-loop, like the replicas do it.
-        loop = asyncio.get_running_loop()
-        try:
-            digest = await loop.run_in_executor(
-                None, _digest_source, route_language, source
-            )
-        except Exception as error:  # noqa: BLE001 - parser errors are user input
-            return 400, {"error": f"cannot parse source: {error}"}, None
+        # replica already holding its answer.  A byte-identical repeat
+        # reads it from the memo; anything else is parsed off-loop (it is
+        # CPU-bound), like the replicas do it.
+        memo_key = source_key(route_language, source)
+        digest = self.digests.get(memo_key)
+        if digest is None:
+            loop = asyncio.get_running_loop()
+            try:
+                digest = await loop.run_in_executor(
+                    None, _digest_source, route_language, source
+                )
+            except Exception as error:  # noqa: BLE001 - parser errors are user input
+                return 400, {"error": f"cannot parse source: {error}"}, None
+            self.digests.put(memo_key, digest)
 
         key = request_key(digest, route_task)
         # The forward path (owner attempt + backoff + successor retry)
@@ -560,6 +576,7 @@ class FleetRouter:
                 "rejected": self.admission.rejected,
                 "reloads": self._reloads,
                 "admission_limit": self.admission.limit(healthy),
+                "digests": self.digests.stats(),
             },
             "ring": self.ring.describe(),
             "replicas": self.replicas.status(),
@@ -665,8 +682,6 @@ def _merge_stats(per_replica: Dict[str, dict]) -> dict:
         "inflight": 0,
         "queue_depth": 0,
     }
-    hits = misses = evictions = 0
-    size = capacity = 0
     latency_snapshots: Dict[str, List[dict]] = {}
     for stats in per_replica.values():
         for counter in (
@@ -678,25 +693,25 @@ def _merge_stats(per_replica: Dict[str, dict]) -> dict:
             "queue_depth",
         ):
             merged[counter] += int(stats.get(counter, 0))
-        cache = stats.get("cache") or {}
-        hits += int(cache.get("hits", 0))
-        misses += int(cache.get("misses", 0))
-        evictions += int(cache.get("evictions", 0))
-        size += int(cache.get("size", 0))
-        capacity += int(cache.get("capacity", 0))
         for path, snapshot in (stats.get("latency") or {}).items():
             latency_snapshots.setdefault(path, []).append(snapshot)
-    lookups = hits + misses
-    merged["cache"] = {
-        "hits": hits,
-        "misses": misses,
-        "evictions": evictions,
-        "size": size,
-        "capacity": capacity,
-        "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-    }
+    for cache in ("cache", "digests"):
+        merged[cache] = _merge_cache_stats(
+            [stats.get(cache) or {} for stats in per_replica.values()]
+        )
     merged["latency"] = {
         path: FixedHistogram.merge(snapshots)
         for path, snapshots in latency_snapshots.items()
     }
+    return merged
+
+
+def _merge_cache_stats(per_replica: List[dict]) -> dict:
+    """One :meth:`LruCache.stats` view summed over replicas."""
+    merged = {
+        field: sum(int(stats.get(field, 0)) for stats in per_replica)
+        for field in ("hits", "misses", "evictions", "size", "capacity")
+    }
+    lookups = merged["hits"] + merged["misses"]
+    merged["hit_rate"] = round(merged["hits"] / lookups, 4) if lookups else 0.0
     return merged

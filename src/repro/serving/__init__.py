@@ -13,7 +13,9 @@ service with the read-path properties PR 3 made possible:
     the event loop free to accept connections.
 :mod:`repro.serving.cache`
     :class:`LruCache` keyed on ``ast_digest(source) x task``, so a
-    duplicated submission never reaches extraction or inference.
+    duplicated submission never reaches extraction or inference, and
+    the :func:`~repro.serving.cache.source_key` digest memo, so a
+    byte-identical one is not even parsed.
 :mod:`repro.serving.server`
     :class:`PredictionServer`, a stdlib-only asyncio HTTP server with
     ``POST /predict``, ``GET /healthz`` and ``GET /stats`` and a graceful

@@ -45,7 +45,8 @@ class PredictRequest:
     target_language: Optional[str] = None
     #: The already-parsed source, when the caller fingerprinted it in
     #: this process (in-process scoring reuses it; worker-pool requests
-    #: ship only the source text and re-parse on the other side).
+    #: ship only the source text and re-parse on the other side).  None
+    #: when the digest came from the server's memo: scoring parses once.
     program: Optional[ParsedProgram] = field(default=None, compare=False, repr=False)
 
     @property

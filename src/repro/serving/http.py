@@ -7,6 +7,8 @@ the wire-level pieces they share:
 
 * :func:`read_request` / :func:`respond` -- the server side: parse one
   keep-alive request off a stream, write one JSON response;
+* :func:`surrogate_error` -- the request-validation check both tiers run
+  on a decoded ``source`` before hashing or parsing it;
 * :func:`http_call` -- the client side the router forwards with: one
   asyncio round-trip against a replica, optionally reusing a pooled
   connection;
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from typing import Dict, Optional, Tuple
 
 #: Request body / header-block size bounds (a serving DoS guard, not a
@@ -130,6 +133,33 @@ async def respond(
     head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
     writer.write(head + body)
     await writer.drain()
+
+
+#: JSON may spell a lone UTF-16 surrogate (``"\\ud800"``); a well-formed
+#: pair decodes to one code point, so any surrogate in a decoded string
+#: is unpaired -- and cannot be encoded as UTF-8 for hashing or digests.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def surrogate_error(source: str) -> Optional[dict]:
+    """The 400 payload for a source holding an unpaired surrogate, else None.
+
+    Names the first offender's 1-based line and column (in code points),
+    like a parser's ``ParseError`` would.
+    """
+    match = _SURROGATE.search(source)
+    if match is None:
+        return None
+    offset = match.start()
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    return {
+        "error": f"field 'source' holds an unpaired surrogate "
+        f"U+{ord(match.group()):04X} at line {line}, column {column}; "
+        f"it is not valid Unicode text",
+        "line": line,
+        "column": column,
+    }
 
 
 # ----------------------------------------------------------------------

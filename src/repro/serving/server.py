@@ -5,9 +5,10 @@ loop:
 
 * connections are accepted and parsed as HTTP/1.1 with keep-alive;
 * ``POST /predict`` requests are routed to a model, fingerprinted
-  (:func:`~repro.core.extraction.ast_digest` of the parsed source,
-  computed off-loop), and answered from the LRU response cache when the
-  same program x task was already scored;
+  (:func:`~repro.core.extraction.ast_digest` of the parsed source: read
+  from the digest memo for a byte-identical repeat, otherwise computed
+  off-loop), and answered from the LRU response cache when the same
+  program x task was already scored;
 * cache misses join the :class:`~repro.serving.batching.MicroBatcher`
   queue and fan out to the :class:`~repro.serving.host.ModelHost`;
   concurrent duplicates of an in-flight request coalesce onto the same
@@ -28,7 +29,7 @@ from typing import Dict, Optional, Tuple
 from ..resilience import faults
 from ..resilience.faults import FaultInjected
 from .batching import BatcherClosed, MicroBatcher
-from .cache import LruCache
+from .cache import LruCache, source_key
 from .host import ModelHost, PredictRequest
 from .http import (
     MAX_BODY_BYTES,
@@ -37,6 +38,7 @@ from .http import (
     HttpRequest as _HttpRequest,
     read_request,
     respond,
+    surrogate_error,
 )
 from .metrics import FixedHistogram
 
@@ -64,6 +66,9 @@ class PredictionServer:
         self.address = address
         self.port = port
         self.cache = LruCache(cache_size)
+        #: source_key -> ast_digest: byte-identical repeats skip the parse
+        #: (sized like the response cache, so ``cache_size=0`` disables both).
+        self.digests = LruCache(cache_size)
         self.batcher = MicroBatcher(
             self.host.score_batch, batch_size=batch_size, batch_wait_ms=batch_wait_ms
         )
@@ -300,6 +305,7 @@ class PredictionServer:
                 for path, histogram in self._latency.items()
             },
             "cache": self.cache.stats(),
+            "digests": self.digests.stats(),
             "batcher": self.batcher.stats(),
             "extraction": extraction,
             # Which inference engine each served cell scores with
@@ -349,6 +355,9 @@ class PredictionServer:
         source = payload.get("source")
         if not isinstance(source, str) or not source.strip():
             return 400, {"error": "field 'source' (non-empty string) is required"}
+        invalid = surrogate_error(source)
+        if invalid is not None:
+            return 400, invalid
         language = payload.get("language")
         task = payload.get("task")
         for field_name, value in (("language", language), ("task", task)):
@@ -394,20 +403,28 @@ class PredictionServer:
                 "error": "field 'target_language' only applies to task 'translate'"
             }
 
+        # A byte-identical repeat reads its digest from the memo and is
+        # never parsed here; on a response-cache miss it leaves
+        # ``program`` unset and scoring parses it once.
         loop = asyncio.get_running_loop()
-        try:
-            program, fingerprint = await loop.run_in_executor(
-                None, handle.fingerprinted, source
-            )
-        except Exception as error:  # noqa: BLE001 - parser errors are user input
-            return 400, {"error": f"cannot parse source: {error}"}
+        spec = handle.spec
+        memo_key = source_key(spec.language, source)
+        program = None
+        fingerprint = self.digests.get(memo_key)
+        if fingerprint is None:
+            try:
+                program, fingerprint = await loop.run_in_executor(
+                    None, handle.fingerprinted, source
+                )
+            except Exception as error:  # noqa: BLE001 - parser errors are user input
+                return 400, {"error": f"cannot parse source: {error}"}
+            self.digests.put(memo_key, fingerprint)
 
         # The response key must carry everything that changes the answer:
         # the digest only covers program *structure*, so two sources that
         # differ in source language (served by different cells) or in
         # requested target language must not share an entry or coalesce
         # onto each other's in-flight future.
-        spec = handle.spec
         key = (handle.cell, spec.language, target_language, top, fingerprint)
         cached = self.cache.get(key)
         if cached is not None:
@@ -420,8 +437,9 @@ class PredictionServer:
             top=top,
             target_language=target_language,
             # In-process scoring reuses the parse that produced the
-            # fingerprint; worker-pool requests re-parse in the worker
-            # rather than pickling an AST across the process boundary.
+            # fingerprint (none on a memo hit); worker-pool requests
+            # re-parse in the worker rather than pickling an AST across
+            # the process boundary.
             program=program if self.host.workers == 0 else None,
         )
         inflight = self._inflight.get(key)

@@ -94,10 +94,9 @@ def direct(model_path):
     return Pipeline.load(model_path)
 
 
-@pytest.fixture()
-def live_fleet(model_path):
-    """Three in-process replicas behind a router, torn down per test."""
-    replicas = ReplicaSet.in_process([model_path], 3, cache_size=64)
+def _run_fleet(model_path, count):
+    """`count` in-process replicas behind a router, torn down after use."""
+    replicas = ReplicaSet.in_process([model_path], count, cache_size=64)
     replicas.start()
     router = FleetRouter(replicas, port=0, retry_backoff_s=0.01)
     runner = ServerThread(router)
@@ -107,6 +106,12 @@ def live_fleet(model_path):
     finally:
         runner.kill()
         replicas.stop()
+
+
+@pytest.fixture()
+def live_fleet(model_path):
+    """Three in-process replicas behind a router, torn down per test."""
+    yield from _run_fleet(model_path, 3)
 
 
 # ----------------------------------------------------------------------
@@ -550,3 +555,97 @@ class TestFleetRouter:
         assert payload["retry_after_s"] >= 1
         assert headers["Retry-After"] == str(payload["retry_after_s"])
         assert router.admission.rejected == 1
+
+
+@pytest.fixture()
+def pair_fleet(model_path):
+    """Two in-process replicas behind a router, torn down per test."""
+    yield from _run_fleet(model_path, 2)
+
+
+@pytest.fixture()
+def counted_parses(monkeypatch):
+    """Count the router's digest parses and the replicas' fingerprints."""
+    import repro.fleet.router as router_module
+    from repro.api.pipeline import ScoringHandle
+
+    counts = {"router": 0, "replica": 0}
+    parse_source = router_module.parse_source
+    fingerprinted = ScoringHandle.fingerprinted
+
+    def counting_parse_source(language, source):
+        counts["router"] += 1
+        return parse_source(language, source)
+
+    def counting_fingerprinted(self, source):
+        counts["replica"] += 1
+        return fingerprinted(self, source)
+
+    monkeypatch.setattr(router_module, "parse_source", counting_parse_source)
+    monkeypatch.setattr(ScoringHandle, "fingerprinted", counting_fingerprinted)
+    return counts
+
+
+class TestDigestMemo:
+    """Router and replica both answer a byte-identical repeat unparsed."""
+
+    def test_identical_repeat_parses_nowhere(
+        self, pair_fleet, counted_parses, model_path
+    ):
+        _replicas, _router, url = pair_fleet
+        with ServingClient(url) as client:
+            first = client.predict(PROGRAM)
+            assert counted_parses == {"router": 1, "replica": 1}
+            second = client.predict(PROGRAM)
+        assert counted_parses == {"router": 1, "replica": 1}
+        assert first["cached"] is False and second["cached"] is True
+        handle = Pipeline.load(model_path).scoring_handle()
+        assert second["predictions"] == handle.predict(PROGRAM)
+
+    def test_layout_variant_parses_once_per_tier(self, pair_fleet, counted_parses):
+        _replicas, _router, url = pair_fleet
+        with ServingClient(url) as client:
+            client.predict(PROGRAM)
+            counted_parses.update(router=0, replica=0)
+            variant = client.predict(PROGRAM_REFORMATTED)
+        assert counted_parses == {"router": 1, "replica": 1}
+        assert variant["cached"] is True
+
+    def test_unparseable_source_never_enters_the_memo(
+        self, pair_fleet, counted_parses
+    ):
+        _replicas, router, url = pair_fleet
+        with ServingClient(url) as client:
+            for _ in range(2):
+                with pytest.raises(ServingError) as excinfo:
+                    client.predict("var broken = ;")
+                assert excinfo.value.status == 400
+        assert counted_parses["router"] == 2
+        assert len(router.digests) == 0
+
+    def test_repeat_is_a_digest_hit_at_both_tiers(self, pair_fleet):
+        _replicas, _router, url = pair_fleet
+        with ServingClient(url) as client:
+            client.predict(PROGRAM)
+            before = client.fleet_stats()
+            client.predict(PROGRAM)
+            after = client.fleet_stats()
+        for tier in ("router", "merged"):
+            assert after[tier]["digests"]["hits"] == before[tier]["digests"]["hits"] + 1
+            assert after[tier]["digests"]["misses"] == before[tier]["digests"]["misses"]
+        assert after["merged"]["digests"]["size"] == 1
+        assert sum(
+            stats["digests"]["size"] for stats in after["per_replica"].values()
+        ) == 1
+
+    def test_unpaired_surrogate_is_a_positioned_400(self, pair_fleet):
+        _replicas, router, url = pair_fleet
+        body = json.dumps({"source": 'var a = "\ud800";'}).encode()
+        with ServingClient(url) as client:
+            status, payload = client.request("POST", "/predict", body)
+            merged = client.fleet_stats()["merged"]
+        assert status == 400
+        assert (payload["line"], payload["column"]) == (1, 10)
+        assert "surrogate" in payload["error"]
+        assert router.digests.stats()["misses"] == 0  # rejected before the memo
+        assert "/predict" not in merged["latency"]  # and never forwarded

@@ -63,6 +63,12 @@ def direct(model_path):
 
 
 @pytest.fixture(scope="module")
+def handle(model_path):
+    """A privately loaded scoring handle: what the server answers with."""
+    return Pipeline.load(model_path).scoring_handle()
+
+
+@pytest.fixture(scope="module")
 def live_server(model_path):
     host = ModelHost([model_path], workers=0)
     server = PredictionServer(
@@ -442,6 +448,152 @@ class TestMalformedRequests:
         assert "413" in status_line
         with ServingClient(url) as client:  # the server survived
             assert client.healthz()["status"] == "ok"
+
+
+@pytest.fixture()
+def counted_parses(monkeypatch):
+    """Count every parse a server makes: for its digest and for scoring."""
+    from repro.api.pipeline import ScoringHandle
+
+    counts = {"fingerprinted": 0, "parse": 0}
+    fingerprinted = ScoringHandle.fingerprinted
+    parse = Pipeline.parse
+
+    def counting_fingerprinted(self, source):
+        counts["fingerprinted"] += 1
+        return fingerprinted(self, source)
+
+    def counting_parse(self, source, name=""):
+        counts["parse"] += 1
+        return parse(self, source, name)
+
+    monkeypatch.setattr(ScoringHandle, "fingerprinted", counting_fingerprinted)
+    monkeypatch.setattr(Pipeline, "parse", counting_parse)
+    return counts
+
+
+@pytest.fixture()
+def fresh_server(model_path):
+    """Start a private server (so memo and cache counters start at zero)."""
+    runners = []
+
+    def start(cache_size=128):
+        server = PredictionServer(
+            ModelHost([model_path], workers=0), port=0, cache_size=cache_size
+        )
+        runner = ServerThread(server)
+        runners.append(runner)
+        return server, runner.__enter__()
+
+    yield start
+    for runner in runners:
+        runner.__exit__(None, None, None)
+
+
+class TestDigestMemo:
+    """Byte-identical repeats are answered without parsing the source."""
+
+    def test_identical_repeat_never_parses(
+        self, fresh_server, counted_parses, handle
+    ):
+        server, url = fresh_server()
+        source = "var memoProbe = other + 5;\n" + NOVEL_JS
+        with ServingClient(url) as client:
+            first = client.predict(source)
+            counted_parses.update(fingerprinted=0, parse=0)
+            second = client.predict(source)
+        assert counted_parses == {"fingerprinted": 0, "parse": 0}
+        assert first["cached"] is False and second["cached"] is True
+        assert second["predictions"] == first["predictions"]
+        assert second["predictions"] == handle.predict(source)
+
+    def test_memo_hit_then_cache_miss_parses_once_for_scoring(
+        self, fresh_server, counted_parses, handle
+    ):
+        _server, url = fresh_server()
+        source = "var topProbe = base + 9;\n" + NOVEL_JS
+        with ServingClient(url) as client:
+            client.predict(source, top=0)
+            counted_parses.update(fingerprinted=0, parse=0)
+            response = client.predict(source, top=5)
+        # The digest came from the memo; scoring parsed the source once.
+        assert counted_parses == {"fingerprinted": 0, "parse": 1}
+        assert response["cached"] is False
+        assert response["suggestions"] == {
+            key: [[label, score] for label, score in ranked]
+            for key, ranked in handle.suggest(source, k=5).items()
+        }
+
+    def test_layout_variant_parses_once_and_hits_the_cache(
+        self, fresh_server, counted_parses
+    ):
+        _server, url = fresh_server()
+        with ServingClient(url) as client:
+            first = client.predict("var variantProbe = x + 2;")
+            counted_parses.update(fingerprinted=0, parse=0)
+            second = client.predict("var variantProbe   =  x +\n2;")
+        assert counted_parses == {"fingerprinted": 1, "parse": 1}
+        assert second["cached"] is True
+        assert second["fingerprint"] == first["fingerprint"]
+
+    def test_unparseable_source_is_rejected_every_time(
+        self, fresh_server, counted_parses
+    ):
+        server, url = fresh_server()
+        body = json.dumps({"source": "var @@@ not javascript"}).encode()
+        with ServingClient(url) as client:
+            for _ in range(2):
+                status, payload = client.request("POST", "/predict", body)
+                assert status == 400
+                assert "parse" in payload["error"]
+        assert counted_parses["fingerprinted"] == 2  # no memo entry to hit
+        assert len(server.digests) == 0
+
+    def test_memo_evictions_are_counted_at_capacity(self, fresh_server):
+        server, url = fresh_server(cache_size=2)
+        with ServingClient(url) as client:
+            for i in range(3):
+                client.predict(f"var evictProbe{i} = v + {i};")
+            digests = client.stats()["digests"]
+        assert digests["capacity"] == 2
+        assert digests["size"] == 2
+        assert digests["evictions"] == 1
+
+    def test_zero_cache_size_disables_memo_and_cache(
+        self, fresh_server, counted_parses
+    ):
+        _server, url = fresh_server(cache_size=0)
+        source = "var uncachedProbe = w + 3;"
+        with ServingClient(url) as client:
+            first = client.predict(source)
+            second = client.predict(source)
+            stats = client.stats()
+        assert first["cached"] is False and second["cached"] is False
+        assert counted_parses["fingerprinted"] == 2
+        assert stats["digests"]["size"] == 0 and stats["cache"]["size"] == 0
+        assert stats["digests"]["hits"] == 0 and stats["cache"]["hits"] == 0
+
+    def test_repeat_counts_as_a_digest_hit_in_stats(self, fresh_server):
+        _server, url = fresh_server()
+        source = "var statsProbe = y + 4;"
+        with ServingClient(url) as client:
+            client.predict(source)
+            before = client.stats()["digests"]
+            client.predict(source)
+            after = client.stats()["digests"]
+        assert after["hits"] == before["hits"] + 1
+        assert after["misses"] == before["misses"]
+
+    def test_unpaired_surrogate_is_a_positioned_400(self, fresh_server):
+        server, url = fresh_server()
+        body = json.dumps({"source": 'var a = 1;\nvar b = "\ud800";'}).encode()
+        assert b"\\ud800" in body  # JSON spells the lone surrogate
+        with ServingClient(url) as client:
+            status, payload = client.request("POST", "/predict", body)
+        assert status == 400
+        assert (payload["line"], payload["column"]) == (2, 10)
+        assert "surrogate" in payload["error"]
+        assert server.digests.stats()["misses"] == 0  # rejected before the memo
 
 
 class TestGracefulShutdown:
