@@ -19,11 +19,8 @@ import time
 from collections import defaultdict
 
 from conftest import emit, emit_json
-from repro.core.extraction import (
-    ExtractionConfig,
-    PathExtractor,
-    ReferencePathExtractor,
-)
+from oracles.extraction import ReferencePathExtractor
+from repro.core.extraction import ExtractionConfig, PathExtractor
 from repro.lang.base import parse_source
 from repro.tasks.variable_naming import build_crf_graph
 

@@ -1,8 +1,8 @@
 """Inference engine benchmark: compiled (columnar) vs the scalar oracle.
 
 Trains one JS variable-naming model on the benchmark corpus, then runs
-MAP inference over held-out graphs with both engines at two
-granularities:
+MAP inference over held-out graphs with the compiled engine and with the
+scalar oracle (``tests/oracles/crf_scalar.py``) at two granularities:
 
 * **file** -- the corpus files as generated (tens of unknown nodes);
 * **module** -- each project's files concatenated (hundreds of unknown
@@ -22,6 +22,7 @@ numbers against the committed baselines.
 import time
 
 from conftest import emit, emit_json
+from oracles import crf_scalar
 from repro.api import Pipeline
 from repro.learning.crf import map_inference
 
@@ -46,13 +47,13 @@ def _graphs(pipeline, sources, tag):
     return [graph for graph in graphs if len(graph)]
 
 
-def _time_map(scorer, graphs, repeats=REPEATS):
+def _time_map(infer, scorer, graphs, repeats=REPEATS):
     """Best-of-N wall clock for a full MAP pass over ``graphs``."""
     best = float("inf")
     assignments = []
     for _ in range(repeats):
         started = time.perf_counter()
-        assignments = [map_inference(scorer, graph) for graph in graphs]
+        assignments = [infer(scorer, graph) for graph in graphs]
         best = min(best, time.perf_counter() - started)
     return best, assignments
 
@@ -80,8 +81,12 @@ def run_all(js_data, js_module_data):
     rows = []
     for granularity, graphs in granularities.items():
         nodes = sum(len(graph) for graph in graphs)
-        scalar_seconds, scalar_assignments = _time_map(model, graphs)
-        compiled_seconds, compiled_assignments = _time_map(compiled, graphs)
+        scalar_seconds, scalar_assignments = _time_map(
+            crf_scalar.map_inference, model, graphs
+        )
+        compiled_seconds, compiled_assignments = _time_map(
+            map_inference, compiled, graphs
+        )
         mismatches = sum(
             1
             for scalar, vector in zip(scalar_assignments, compiled_assignments)

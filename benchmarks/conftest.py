@@ -13,10 +13,18 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from collections import defaultdict
 from functools import lru_cache
 
 import pytest
+
+# The bit-identity oracles (``tests/oracles/``) that bench_inference and
+# bench_extraction time the product against.  Appended, not prepended,
+# so this directory's own ``conftest`` keeps winning plain imports.
+sys.path.append(
+    os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests")
+)
 
 from repro.corpus.generator import CorpusConfig, CorpusFile
 from repro.corpus.splits import split_corpus

@@ -49,21 +49,13 @@ class _LearnerBase:
             raise RuntimeError("call train() before predict()")
 
 
-#: Valid values for :attr:`CrfLearner.engine`.
-CRF_ENGINES = ("compiled", "scalar")
-
-
 @learners.register("crf")
 class CrfLearner(_LearnerBase):
     """The structured CRF learner over factor graphs.
 
-    Inference runs on one of two engines (see
-    :mod:`repro.learning.crf.inference`): ``compiled`` -- the vectorised
-    default, which freezes the trained weights into a
-    :class:`~repro.learning.crf.compiled.CompiledCrfModel` once and
-    reuses the pack across predictions -- or ``scalar``, the dict-lookup
-    oracle.  Both produce bit-identical predictions; flip
-    :attr:`engine` (or pass ``pigeon predict --engine``) to cross-check.
+    Inference (:mod:`repro.learning.crf.inference`) freezes the trained
+    weights into a :class:`~repro.learning.crf.compiled.CompiledCrfModel`
+    once and reuses the pack across predictions.
     """
 
     name = "crf"
@@ -73,7 +65,6 @@ class CrfLearner(_LearnerBase):
         overrides = dict(spec.training) if spec is not None else {}
         self.config = TrainingConfig(**overrides)
         self.model: Optional[CrfModel] = None
-        self.engine: str = "compiled"
         self._compiled = None
 
     @property
@@ -86,21 +77,14 @@ class CrfLearner(_LearnerBase):
         return self.model.space if self.model is not None else None
 
     def _scorer(self):
-        """The active inference engine (compiling lazily on first use)."""
-        if self.engine not in CRF_ENGINES:
-            raise ValueError(
-                f"unknown inference engine {self.engine!r}; "
-                f"expected one of {CRF_ENGINES}"
-            )
-        if self.engine == "scalar":
-            return self.model
+        """The compiled scoring pack (compiled lazily on first use)."""
         if self._compiled is None or self._compiled.model is not self.model:
             self._compiled = self.model.compile()
         return self._compiled
 
     def ensure_compiled(self) -> None:
         """Eagerly build the scoring pack (freeze time, serving path)."""
-        if self.trained and self.engine == "compiled":
+        if self.trained:
             self._scorer()
 
     def fit(self, views: Iterable[CrfGraph], checkpoint=None) -> LearnerStats:

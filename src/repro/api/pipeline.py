@@ -495,7 +495,7 @@ class ScoringHandle:
         # Freeze-time compile: the CRF learner packs its weights against
         # the now-frozen base vocab once, and every request (and every
         # throwaway overlay -- overlay ids sit above the packed id range
-        # and score 0.0, exactly like the scalar path's unseen labels)
+        # and score 0.0, like any label the model never saw)
         # reuses that pack instead of re-freezing per call.
         warm = getattr(pipeline.learner, "ensure_compiled", None)
         if warm is not None:
@@ -505,11 +505,6 @@ class ScoringHandle:
     @property
     def cell(self) -> str:
         return self.spec.cell()
-
-    @property
-    def engine(self) -> Optional[str]:
-        """The learner's inference engine name (None when it has none)."""
-        return getattr(self.pipeline.learner, "engine", None)
 
     @property
     def service(self):

@@ -32,7 +32,7 @@ plain dicts on demand -- an offline operation, never the serving path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -83,23 +83,8 @@ class PackedCounts:
     def items(self) -> List[Tuple[int, int]]:
         return self.most_common()
 
-    def values(self) -> List[int]:
-        return self._counts.tolist()
-
-    def __getitem__(self, label_id: int) -> int:
-        matches = np.flatnonzero(self._ids == label_id)
-        if not len(matches):
-            raise KeyError(label_id)
-        return int(self._counts[matches[0]])
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
     def __bool__(self) -> bool:
         return len(self._ids) > 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ids.tolist())
 
 
 class PackedCandidateIndex:
@@ -135,35 +120,17 @@ class PackedCandidateIndex:
             self._cache[row] = cached
         return cached
 
-    def __getitem__(self, key) -> PackedCounts:
-        counter = self.get(key)
-        if counter is None:
-            raise KeyError(key)
-        return counter
-
-    def __contains__(self, key) -> bool:
-        return key in self._row_of
-
-    def __len__(self) -> int:
-        return len(self._row_of)
-
-    def __iter__(self):
-        return iter(self._row_of)
-
-    def keys(self):
-        return self._row_of.keys()
-
     def items(self):
         return ((key, self.get(key)) for key in self._row_of)
 
 
 class _PackedWeightView:
-    """Read-only mapping over the packed ``(group, label)`` weight plane.
+    """The packed ``(group, label)`` weight plane, read as weight dicts.
 
     Shares the sorted combined-key and weight arrays with the compiled
-    scorer; lookups run one dict probe plus one binary search.  ``items``
-    decodes keys back to tuples -- the path ``to_dict`` / ``top_features``
-    take, never the scoring path.
+    scorer, which reads them directly.  This view serves only ``len``
+    (``num_parameters``) and ``items``, which decodes keys back to
+    tuples for ``to_dict`` / ``top_features``.
     """
 
     __slots__ = ("_pack", "_unary", "_size")
@@ -172,36 +139,6 @@ class _PackedWeightView:
         self._pack = pack
         self._unary = unary
         self._size: Optional[int] = None
-
-    def _position(self, key) -> int:
-        pack = self._pack
-        if self._unary:
-            label, rel = key
-            group = (rel, _UNARY_OTHER)
-        else:
-            label, rel, other = key
-            group = (rel, other)
-        row = pack.group_of.get(group)
-        if row is None:
-            return -1
-        combined = row * pack.label_base + label
-        position = int(np.searchsorted(pack.keys, combined))
-        if position < len(pack.keys) and int(pack.keys[position]) == combined:
-            return position
-        return -1
-
-    def __contains__(self, key) -> bool:
-        return self._position(key) >= 0
-
-    def __getitem__(self, key) -> float:
-        position = self._position(key)
-        if position < 0:
-            raise KeyError(key)
-        return float(self._pack.weights[position])
-
-    def get(self, key, default=None):
-        position = self._position(key)
-        return default if position < 0 else float(self._pack.weights[position])
 
     def _rows_mask(self) -> np.ndarray:
         pack = self._pack
@@ -230,15 +167,6 @@ class _PackedWeightView:
                 yield (label, int(rel)), weight
             else:
                 yield (label, int(rel), int(other)), weight
-
-    def keys(self):
-        return (key for key, _weight in self.items())
-
-    def __iter__(self):
-        return self.keys()
-
-    def __setitem__(self, key, value):
-        raise PackedModelError("assigning a packed weight")
 
 
 class _WeightPack:
@@ -283,10 +211,9 @@ def _packed_crf_model(artifact: ModelArtifact):
     class PackedCrfModel(CrfModel):
         """A :class:`CrfModel` whose state are views over one artifact.
 
-        Scoring, candidate generation and the string APIs behave exactly
-        like the dict-backed model (the scalar engine resolves weights
-        through binary search; the compiled engine reuses the packed
-        plane directly via :meth:`compile`).  Mutation raises.
+        Candidate generation and serialization behave exactly like the
+        dict-backed model; scoring reuses the packed plane directly via
+        :meth:`compile`.  Mutation raises.
         """
 
         def compile(self):

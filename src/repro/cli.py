@@ -528,11 +528,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         args.server = args.fleet
     if args.server and args.model:
         raise SystemExit("pass either --model (local) or --server (remote), not both")
-    if args.server and args.engine:
-        raise SystemExit(
-            "--engine is a local (--model) option; the server picks its "
-            "engine at startup (pigeon serve --engine)"
-        )
     source = _read(args.file)
     if args.server:
         from .serving.client import ServingClient, ServingError
@@ -556,20 +551,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
         result = dict({"file": args.file}, **response)
     elif args.model:
         pipeline = Pipeline.load(args.model)
-        if args.engine:
-            if not hasattr(pipeline.learner, "engine"):
-                raise SystemExit(
-                    f"error: --engine applies to CRF models, but "
-                    f"{args.model!r} holds a {pipeline.spec.learner!r} learner"
-                )
-            pipeline.learner.engine = args.engine
         result = {
             "file": args.file,
             "cell": pipeline.spec.cell(),
         }
-        engine = getattr(pipeline.learner, "engine", None)
-        if engine is not None:
-            result["engine"] = engine
         if args.top:
             result["suggestions"] = {
                 key: [[label, score] for label, score in ranked]
@@ -588,7 +573,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serving import ModelHost, PredictionServer
 
-    host = ModelHost(args.model, workers=args.workers, engine=args.engine)
+    host = ModelHost(args.model, workers=args.workers)
     server = PredictionServer(
         host,
         address=args.host,
@@ -1106,13 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--task", default=None, help="route to this task (--server mode)"
     )
     predict.add_argument("--top", type=int, default=0, help="emit top-K suggestions")
-    predict.add_argument(
-        "--engine",
-        choices=("compiled", "scalar"),
-        default=None,
-        help="CRF inference engine: 'compiled' (vectorised, default) or "
-        "'scalar' (the bit-identity oracle); local --model mode only",
-    )
     predict.set_defaults(func=cmd_predict)
 
     serve = sub.add_parser(
@@ -1146,13 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8017, help="bind port (0 = ephemeral)")
-    serve.add_argument(
-        "--engine",
-        choices=("compiled", "scalar"),
-        default=None,
-        help="pin the CRF inference engine for every served model "
-        "(default: each model's own default, 'compiled')",
-    )
     serve.add_argument(
         "--workers",
         type=int,

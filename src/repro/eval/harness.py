@@ -277,10 +277,11 @@ def evaluate_crf(
     model, stats = trainer.train(train_graphs)
 
     t0 = time.perf_counter()
+    compiled = model.compile()
     accuracy = AccuracyCounter()
     f1 = SubtokenF1Counter()
     for graph in test_graphs:
-        assignment = map_inference(model, graph)
+        assignment = map_inference(compiled, graph)
         for i, node in enumerate(graph.unknowns):
             accuracy.add(assignment[i], node.gold)
             if with_f1:

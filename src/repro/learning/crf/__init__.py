@@ -26,13 +26,13 @@ runs on a parallel **columnar** representation:
   ``searchsorted`` gathers a whole ``factors x candidates`` weight
   matrix and a factor-ordered reduction scores the beam.
 
-The scalar path (``CrfModel.node_score`` + the string-based sweep in
-:mod:`~repro.learning.crf.inference`) is kept verbatim as the
-**bit-identity oracle**: the compiled engine must reproduce its output
-exactly -- scores, tie-breaks, fallbacks -- and the oracle suite
-(``tests/test_crf_compiled.py``) holds that gate.  This mirrors how the
-optimised path extractor is gated on ``ReferencePathExtractor``:
-the fast path may only ever be a faster spelling of the slow one.
+The columnar engine is the only scoring path.  Its bit-identity oracle
+-- the original per-candidate dict-lookup engine -- lives with the tests
+(``tests/oracles/crf_scalar.py``): the compiled engine must reproduce its
+output exactly (scores, tie-breaks, fallbacks), and
+``tests/test_crf_compiled.py`` holds that gate, the same way the
+single-pass path extractor is gated on the all-pairs extractor in
+``tests/oracles/extraction.py``.
 """
 
 from .compiled import CompiledCrfModel

@@ -3,10 +3,11 @@
 :class:`~repro.learning.crf.model.CrfModel` keeps its weights in python
 dicts keyed by integer tuples -- ideal for training updates, terrible for
 inference, where ICM re-scores every candidate label of every unknown
-node once per sweep.  The scalar ``node_score`` pays ``len(beam)`` python
-loops over a node's factors (one dict lookup per ``(label, factor)``
-pair).  This module re-lays the same weights as **structure-of-arrays**
-so one node's whole beam scores as a handful of numpy ops:
+node once per sweep: scoring per candidate would pay ``len(beam)``
+python loops over a node's factors (one dict lookup per ``(label,
+factor)`` pair).  This module re-lays the same weights as
+**structure-of-arrays** so one node's whole beam scores as a handful of
+numpy ops:
 
 * At *freeze* time, :class:`CompiledCrfModel` packs ``pair_weights`` and
   ``unary_weights`` into parallel sorted arrays.  Factors are grouped by
@@ -22,9 +23,10 @@ so one node's whole beam scores as a handful of numpy ops:
   candidates)`` key matrix, gathers all weights with **one**
   ``searchsorted``, and reduces along the factor axis.
 
-**Bit-identity with the scalar oracle** is the design constraint, not an
-afterthought: predictions (tie-breaks included) and suggestion scores
-must match ``CrfModel.node_score`` exactly.  Two rules make that hold:
+**Bit-identity with the scalar oracle** (the per-candidate dict-lookup
+scorer in ``tests/oracles/crf_scalar.py``) is the design constraint, not
+an afterthought: predictions (tie-breaks included) and suggestion scores
+must match it exactly.  Two rules make that hold:
 
 1. The factor-axis reduction runs row by row (``scores += w[f]``) in
    factor order -- the same left-to-right IEEE addition sequence the
@@ -88,7 +90,7 @@ class CompiledGraph:
 class CompiledCrfModel:
     """A :class:`CrfModel` frozen into sorted parallel weight arrays.
 
-    Wraps (and keeps a reference to) the scalar model: candidate
+    Wraps (and keeps a reference to) the dict-backed model: candidate
     generation and the vocabularies stay on ``model``; only scoring is
     re-laid.  Build one with :meth:`CrfModel.compile`.
     """
@@ -288,7 +290,7 @@ class CompiledCrfModel:
         match" and scores exactly ``0.0``.  ``assignment_ids`` is the
         current assignment as an ``int64`` array over all nodes (``-1``
         for labels outside the model vocabulary).  Bit-identical to
-        calling ``model.node_score`` per candidate.
+        summing the dict weights per candidate in factor order.
         """
         if cg.pack_version != self._pack_version:
             raise RuntimeError(

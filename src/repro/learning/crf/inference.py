@@ -10,43 +10,36 @@ family of greedy candidate-swap inference Nice2Predict uses.
 adopted into Nice2Predict): conditioned on the MAP assignment of the rest
 of the graph, rank the candidate labels of one node.
 
-Two engines implement the same contract:
+Both run on a :class:`~repro.learning.crf.compiled.CompiledCrfModel`:
+ids end-to-end (labels decode only at the return boundary), whole beams
+scored per numpy call, and nodes whose neighbourhood has not changed
+since they were last scored skipped outright (their candidates and best
+label are pure functions of the neighbour ids, so skipping is exact, not
+approximate).  A caller holding a trained
+:class:`~repro.learning.crf.model.CrfModel` compiles it once with
+``model.compile()``.
 
-* the **scalar** path (``model.node_score`` per candidate) -- the
-  bit-identity oracle, kept deliberately simple;
-* the **compiled** path, taken whenever the model argument is a
-  :class:`~repro.learning.crf.compiled.CompiledCrfModel` -- ids
-  end-to-end (labels decode only at the return boundary), whole beams
-  scored per numpy call, and nodes whose neighbourhood has not changed
-  since they were last scored skipped outright (their candidates and
-  best label are pure functions of the neighbour ids, so skipping is
-  exact, not approximate).
-
-Both engines must produce bit-identical assignments, tie-breaks
-included; ``tests/test_crf_compiled.py`` holds the oracle suite.
+The tests keep a plain per-candidate dict-lookup implementation of the
+same contract (``tests/oracles/crf_scalar.py``); assignments, tie-breaks
+and suggestion scores must match it bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .compiled import CompiledCrfModel
 from .graph import CrfGraph
-from .model import CrfModel
 
 #: Label used to initialise nodes before the first sweep, and the
 #: explicit fallback candidate when a node's beam comes back empty.
 UNKNOWN_LABEL = "?"
 
-#: Either engine; the compiled one wraps (and defers candidates to) a
-#: :class:`CrfModel`.
-ScoringModel = Union[CrfModel, CompiledCrfModel]
-
 
 def map_inference(
-    model: ScoringModel,
+    compiled: CompiledCrfModel,
     graph: CrfGraph,
     max_sweeps: int = 8,
     beam: int = 48,
@@ -61,87 +54,6 @@ def map_inference(
     """
     if loss_augmented and gold is None:
         raise ValueError("loss-augmented inference requires the gold assignment")
-    if isinstance(model, CompiledCrfModel):
-        return _map_inference_compiled(
-            model, graph, max_sweeps, beam, loss_augmented, gold
-        )
-
-    assignment: List[str] = [UNKNOWN_LABEL] * len(graph)
-    candidate_cache: List[List[str]] = [[] for _ in range(len(graph))]
-
-    # Greedy initialisation in order of decreasing known-degree, so highly
-    # constrained nodes anchor their neighbours.
-    order = sorted(
-        range(len(graph)),
-        key=lambda i: -(len(graph.unknowns[i].known) + len(graph.unknowns[i].unary)),
-    )
-    for i in order:
-        node = graph.unknowns[i]
-        candidates = model.candidates_for(node, assignment, beam=beam)
-        candidate_cache[i] = candidates
-        assignment[i] = _best_label(
-            model, graph, i, candidates, assignment, loss_augmented, gold
-        )
-
-    # ICM sweeps.
-    for _ in range(max_sweeps):
-        changed = False
-        for i in range(len(graph)):
-            node = graph.unknowns[i]
-            # Refresh candidates: neighbour labels may have changed.
-            candidates = model.candidates_for(node, assignment, beam=beam)
-            merged = list(dict.fromkeys(candidate_cache[i] + candidates))
-            candidate_cache[i] = merged[:beam]
-            best = _best_label(
-                model, graph, i, candidate_cache[i], assignment, loss_augmented, gold
-            )
-            if best != assignment[i]:
-                assignment[i] = best
-                changed = True
-        if not changed:
-            break
-    return assignment
-
-
-def _best_label(
-    model: CrfModel,
-    graph: CrfGraph,
-    index: int,
-    candidates: Sequence[str],
-    assignment: Sequence[str],
-    loss_augmented: bool,
-    gold: Optional[Sequence[str]],
-) -> str:
-    node = graph.unknowns[index]
-    if not candidates:
-        # Explicit empty-beam fallback: score the unknown sentinel (an
-        # unseen label scores exactly 0.0) rather than keeping whatever
-        # the assignment happened to hold.  Both engines share this rule.
-        candidates = (UNKNOWN_LABEL,)
-    best_label = candidates[0]
-    best_score = float("-inf")
-    for label in candidates:
-        score = model.node_score(node, label, assignment)
-        if loss_augmented and gold is not None and label != gold[index]:
-            score += 1.0
-        if score > best_score:
-            best_score = score
-            best_label = label
-    return best_label
-
-
-# ----------------------------------------------------------------------
-# Compiled engine
-# ----------------------------------------------------------------------
-def _map_inference_compiled(
-    compiled: CompiledCrfModel,
-    graph: CrfGraph,
-    max_sweeps: int,
-    beam: int,
-    loss_augmented: bool,
-    gold: Optional[Sequence[str]],
-) -> List[str]:
-    """ICM on id arrays; bit-identical to the scalar sweep above."""
     n = len(graph)
     if n == 0:
         return []
@@ -152,7 +64,7 @@ def _map_inference_compiled(
 
     # The id of the initialisation sentinel: the interned id when "?" is
     # a real (trained) label, else -1 -- which scores 0.0 and reads as
-    # "unseen" to the candidate index, exactly like the string path.
+    # "unseen" to the candidate index.
     unknown_id = values.id_of(UNKNOWN_LABEL)
     fill = unknown_id if unknown_id is not None else -1
     assignment = np.full(n, fill, dtype=np.int64)
@@ -241,7 +153,10 @@ def _best_id(
     fill: int,
 ) -> int:
     if not candidate_ids:
-        candidate_ids = [fill]  # same explicit fallback as _best_label
+        # Explicit empty-beam fallback: score the unknown sentinel (an
+        # unseen label scores exactly 0.0) rather than keeping whatever
+        # the assignment happened to hold.
+        candidate_ids = [fill]
     candidates = np.asarray(candidate_ids, dtype=np.int64)
     scores = compiled.score_candidates(cg, index, candidates, assignment)
     if loss_augmented:
@@ -251,7 +166,7 @@ def _best_id(
 
 
 def topk_for_node(
-    model: ScoringModel,
+    compiled: CompiledCrfModel,
     graph: CrfGraph,
     index: int,
     k: int = 8,
@@ -265,26 +180,7 @@ def topk_for_node(
     qualitative study of Table 4a.
     """
     if assignment is None:
-        assignment = map_inference(model, graph)
-    if isinstance(model, CompiledCrfModel):
-        return _topk_compiled(model, graph, index, k, assignment, beam)
-    node = graph.unknowns[index]
-    candidates = model.candidates_for(node, assignment, beam=beam)
-    scored = [
-        (label, model.node_score(node, label, assignment)) for label in candidates
-    ]
-    scored.sort(key=lambda kv: (-kv[1], kv[0]))
-    return scored[:k]
-
-
-def _topk_compiled(
-    compiled: CompiledCrfModel,
-    graph: CrfGraph,
-    index: int,
-    k: int,
-    assignment: Sequence[str],
-    beam: int,
-) -> List[Tuple[str, float]]:
+        assignment = map_inference(compiled, graph)
     model = compiled.model
     values = model.space.values
     cg = compiled.compile_graph(graph)
@@ -311,6 +207,6 @@ def _topk_compiled(
     return scored[:k]
 
 
-def predict(model: ScoringModel, graph: CrfGraph) -> List[str]:
+def predict(compiled: CompiledCrfModel, graph: CrfGraph) -> List[str]:
     """Convenience wrapper: the MAP assignment."""
-    return map_inference(model, graph)
+    return map_inference(compiled, graph)

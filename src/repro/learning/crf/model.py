@@ -1,4 +1,4 @@
-"""CRF model: sparse weights, scoring, and the candidate index.
+"""CRF model: sparse weights and the candidate index.
 
 The model scores an assignment ``y`` of labels to a graph's unknown nodes
 as the sum of factor weights (log-potentials):
@@ -12,12 +12,12 @@ Eq. (1); MAP inference does not need the partition function ``Z``.
 
 All weight and index keys are **integer tuples** over the model's
 :class:`~repro.core.interning.FeatureSpace`: labels and neighbour values
-are value-vocab ids, relations are path-vocab ids.  The public label API
-stays string-based (``node_score`` takes a label string,
-``candidates_for`` returns label strings); interning happens once at the
-boundary.  Serialization is vocab-aware -- :meth:`to_dict` embeds the
-space, so a reloaded model resolves the same ids to the same strings and
-predictions round-trip bit-identically.
+are value-vocab ids, relations are path-vocab ids.  This class holds
+the weights the trainer updates and the candidate index; scoring runs on
+the :class:`~repro.learning.crf.compiled.CompiledCrfModel` that
+:meth:`CrfModel.compile` freezes from it.  Serialization is vocab-aware
+-- :meth:`to_dict` embeds the space, so a reloaded model resolves the
+same ids to the same strings and predictions round-trip bit-identically.
 
 The *candidate index* maps observed ``(rel, neighbour-label)`` contexts to
 the gold labels seen with them in training -- the mechanism Nice2Predict
@@ -27,11 +27,10 @@ uses to keep inference over a tractable beam of candidate names.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter, defaultdict
 
 import numpy as np
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ...core.interning import DEFAULT_SPACE, FeatureSpace
 from .graph import CrfGraph, UnknownNode
@@ -41,23 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 PairKey = Tuple[int, int, int]  # (label_id, rel_id, other_value_id)
 UnaryKey = Tuple[int, int]  # (label_id, rel_id)
-
-
-class _AssignmentIdView:
-    """Lazy id view of a string assignment (unseen labels read as ``-1``)."""
-
-    __slots__ = ("_values", "_assignment")
-
-    def __init__(self, values, assignment: Sequence[str]) -> None:
-        self._values = values
-        self._assignment = assignment
-
-    def __getitem__(self, index: int) -> int:
-        label_id = self._values.id_of(self._assignment[index])
-        return -1 if label_id is None else label_id
-
-    def __len__(self) -> int:
-        return len(self._assignment)
 
 
 class CrfModel:
@@ -114,48 +96,6 @@ class CrfModel:
     def unary_key(self, label: str, rel: str) -> UnaryKey:
         """Build a :data:`UnaryKey` from strings (tests, inspection)."""
         return (self.label_id(label), self.rel_id(rel))
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-    def node_score(
-        self,
-        node: UnknownNode,
-        label: str,
-        assignment: Sequence[str],
-    ) -> float:
-        """Score of ``label`` for one node given the current assignment."""
-        values = self.space.values
-        lid = values.id_of(label)
-        if lid is None:
-            return 0.0  # a label never seen in training matches no feature
-        score = 0.0
-        pair = self.pair_weights
-        for factor in node.known:
-            key = (lid, factor.rel, factor.label)
-            if key in pair:
-                score += pair[key]
-        for edge in node.edges:
-            other_id = values.id_of(assignment[edge.other])
-            if other_id is None:
-                continue
-            key = (lid, edge.rel, other_id)
-            if key in pair:
-                score += pair[key]
-        if self.use_unary:
-            unary = self.unary_weights
-            for rel in node.unary:
-                key = (lid, rel)
-                if key in unary:
-                    score += unary[key]
-        return score
-
-    def assignment_score(self, graph: CrfGraph, assignment: Sequence[str]) -> float:
-        """Total (directionally double-counted, consistent) graph score."""
-        return sum(
-            self.node_score(node, assignment[i], assignment)
-            for i, node in enumerate(graph.unknowns)
-        )
 
     # ------------------------------------------------------------------
     # Candidates
@@ -237,9 +177,7 @@ class CrfModel:
 
         ``assignment_ids`` maps node index -> current label id, with any
         negative value standing for "outside the model vocabulary" (the
-        id-space equivalent of an unseen label string).  This is the core
-        the vectorised engine calls; :meth:`candidates_for` wraps it for
-        the string API.
+        id-space equivalent of an unseen label string).
         """
         # The merge is vectorised but order-identical to summing counts
         # into a dict and ranking with sorted(key=(-count, label string)):
@@ -299,25 +237,6 @@ class CrfModel:
         order = np.lexsort((self._label_ranks()[uniq], -sums))
         return uniq[order[:beam]].tolist()
 
-    def candidates_for(
-        self,
-        node: UnknownNode,
-        assignment: Sequence[str],
-        beam: int = 48,
-        per_context: int = 12,
-        global_fallback: int = 8,
-    ) -> List[str]:
-        """Candidate labels for one node given its neighbourhood."""
-        values = self.space.values
-        ranked = self.candidate_ids_for(
-            node,
-            _AssignmentIdView(values, assignment),
-            beam=beam,
-            per_context=per_context,
-            global_fallback=global_fallback,
-        )
-        return [values.value(label_id) for label_id in ranked]
-
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
@@ -325,8 +244,7 @@ class CrfModel:
         """Freeze the current weights into a vectorised scoring pack.
 
         The compiled model keeps a reference to this model (candidate
-        generation and vocabularies stay here) and scores bit-identically
-        to :meth:`node_score`; see
+        generation and vocabularies stay here); see
         :mod:`repro.learning.crf.compiled`.
         """
         from .compiled import CompiledCrfModel

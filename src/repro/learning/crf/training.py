@@ -40,10 +40,6 @@ class TrainingConfig:
     use_unary: bool = True
     #: Average weights over updates (recommended).
     average: bool = True
-    #: Inference engine for loss-augmented MAP: "compiled" (vectorised,
-    #: the default) or "scalar" (the oracle).  Both train bit-identical
-    #: models; the knob exists for the oracle tests and benchmarks.
-    engine: str = "compiled"
 
 
 @dataclass
@@ -69,11 +65,6 @@ class CrfTrainer:
         checkpoint: Optional[TrainerCheckpoint] = None,
     ) -> Tuple[CrfModel, TrainingStats]:
         cfg = self.config
-        if cfg.engine not in ("compiled", "scalar"):
-            raise ValueError(
-                f"unknown inference engine {cfg.engine!r}; "
-                "expected 'compiled' or 'scalar'"
-            )
         # The model shares the graphs' feature space: factor ids in the
         # graphs index directly into the model's weight keys.  A corpus
         # that knows its own space (a streaming ShardedCorpus, which
@@ -104,12 +95,6 @@ class CrfTrainer:
         unary_totals: Dict[UnaryKey, float] = {}
         unary_stamp: Dict[UnaryKey, int] = {}
         step = 0
-        # Vectorised scoring pack; built after pass 0 / checkpoint restore
-        # (when the vocab and any restored weights are in place) and kept
-        # in sync by write-through from the bump closures, so each
-        # loss-augmented inference call reuses the pack instead of
-        # re-freezing the whole model.
-        compiled = None
 
         def bump_pair(key: PairKey, delta: float) -> None:
             if cfg.average:
@@ -118,8 +103,7 @@ class CrfTrainer:
                 ] * (step - pair_stamp.get(key, 0))
                 pair_stamp[key] = step
             model.pair_weights[key] += delta
-            if compiled is not None:
-                compiled.set_pair(key, model.pair_weights[key])
+            compiled.set_pair(key, model.pair_weights[key])
 
         def bump_unary(key: UnaryKey, delta: float) -> None:
             if cfg.average:
@@ -128,8 +112,7 @@ class CrfTrainer:
                 ] * (step - unary_stamp.get(key, 0))
                 unary_stamp[key] = step
             model.unary_weights[key] += delta
-            if compiled is not None:
-                compiled.set_unary(key, model.unary_weights[key])
+            compiled.set_unary(key, model.unary_weights[key])
 
         rng = random.Random(cfg.seed)
         order = list(range(len(graphs)))
@@ -192,9 +175,12 @@ class CrfTrainer:
                 "unary_stamp": [[k[0], k[1], v] for k, v in unary_stamp.items()],
             }
 
-        if cfg.engine == "compiled":
-            compiled = model.compile()
-        scorer = compiled if compiled is not None else model
+        # Vectorised scoring pack; built after pass 0 / checkpoint restore
+        # (when the vocab and any restored weights are in place) and kept
+        # in sync by write-through from the bump closures, so each
+        # loss-augmented inference call reuses the pack instead of
+        # re-freezing the whole model.
+        compiled = model.compile()
 
         for epoch in range(start_epoch, cfg.epochs):
             if cfg.shuffle:
@@ -206,7 +192,7 @@ class CrfTrainer:
                 gold = graph.gold_assignment()
                 step += 1
                 predicted = map_inference(
-                    scorer,
+                    compiled,
                     graph,
                     max_sweeps=cfg.max_sweeps,
                     beam=cfg.beam,
@@ -222,9 +208,8 @@ class CrfTrainer:
                 )
             if cfg.weight_decay < 1.0:
                 model.l2_decay(cfg.weight_decay)
-                if compiled is not None:
-                    # Bulk mutation: repack lazily at the next inference.
-                    compiled.invalidate()
+                # Bulk mutation: repack lazily at the next inference.
+                compiled.invalidate()
             stats.epochs += 1
             if checkpoint is not None:
                 checkpoint.save_epoch(epoch + 1, snapshot(epoch + 1))

@@ -23,7 +23,8 @@ hand-rolled kills.
     checkpoint can never silently resume against different data.
     ``pigeon train --resume`` continues an interrupted run and saves a
     model bit-identical to the uninterrupted one -- the same oracle
-    discipline as ``ReferencePathExtractor``.  Shard builds keep a
+    discipline as the all-pairs path extractor in
+    ``tests/oracles/extraction.py``.  Shard builds keep a
     journal (:mod:`repro.shards.build`) so ``pigeon shard build
     --resume`` skips digest-verified completed shards.
 :mod:`repro.resilience.faults`

@@ -61,12 +61,10 @@ class ModelHost:
         self,
         model_paths: Sequence[str],
         workers: int = 0,
-        engine: Optional[str] = None,
     ) -> None:
         if not model_paths:
             raise ValueError("ModelHost needs at least one saved model file")
         self.model_paths: List[str] = list(model_paths)
-        self.engine = engine
         self.handles: Dict[Tuple[str, str], ScoringHandle] = {}
         #: cell -> {path, format, load_ms}: cold-start cost per model,
         #: exposed under ``/stats`` so the JSON-vs-binary artifact choice
@@ -74,7 +72,7 @@ class ModelHost:
         self.load_info: Dict[str, Dict[str, object]] = {}
         for path in self.model_paths:
             started = time.perf_counter()
-            handle = _load_handle(path, engine)
+            handle = _load_handle(path)
             load_ms = (time.perf_counter() - started) * 1000.0
             key = (handle.spec.language, handle.spec.task)
             if key in self.handles:
@@ -135,7 +133,7 @@ class ModelHost:
             executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
-                initargs=(tuple(self.model_paths), self.engine),
+                initargs=(tuple(self.model_paths),),
             )
             # Pre-warm: force every worker to fork/spawn and finish
             # loading its models *now*, so the first real request never
@@ -249,30 +247,18 @@ def _translate_one(handle: ScoringHandle, request: PredictRequest) -> dict:
     return dict(payload, cell=handle.cell)
 
 
-def _load_handle(path: str, engine: Optional[str]) -> ScoringHandle:
-    """Load one model, pin its inference engine, freeze into a handle."""
-    if engine is not None and engine not in ("compiled", "scalar"):
-        raise ValueError(
-            f"unknown inference engine {engine!r}; expected 'compiled' or 'scalar'"
-        )
-    pipeline = Pipeline.load(path)
-    if engine is not None:
-        if not hasattr(pipeline.learner, "engine"):
-            raise ValueError(
-                f"engine={engine!r} applies to CRF models, but {path!r} "
-                f"holds a {pipeline.spec.learner!r} learner"
-            )
-        pipeline.learner.engine = engine
-    return pipeline.scoring_handle()
+def _load_handle(path: str) -> ScoringHandle:
+    """Load one model and freeze it into a handle."""
+    return Pipeline.load(path).scoring_handle()
 
 
 #: Per-worker-process state: (language, task) -> ScoringHandle.
 _WORKER_HANDLES: Dict[Tuple[str, str], ScoringHandle] = {}
 
 
-def _init_worker(model_paths: Tuple[str, ...], engine: Optional[str] = None) -> None:
+def _init_worker(model_paths: Tuple[str, ...]) -> None:
     for path in model_paths:
-        handle = _load_handle(path, engine)
+        handle = _load_handle(path)
         _WORKER_HANDLES[(handle.spec.language, handle.spec.task)] = handle
 
 

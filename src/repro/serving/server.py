@@ -282,11 +282,6 @@ class PredictionServer:
             handle.cell: handle.extraction_stats()
             for handle in self.host.handles.values()
         }
-        engines = {
-            handle.cell: handle.engine
-            for handle in self.host.handles.values()
-            if handle.engine is not None
-        }
         return {
             "uptime_seconds": round(self._uptime(), 3),
             "connections": self._connections,
@@ -308,9 +303,6 @@ class PredictionServer:
             "digests": self.digests.stats(),
             "batcher": self.batcher.stats(),
             "extraction": extraction,
-            # Which inference engine each served cell scores with
-            # (cells whose learner has no engine knob are omitted).
-            "engines": engines,
             # Per-model artifact format and cold-start load latency.
             "models": self.host.model_stats(),
         }

@@ -285,19 +285,3 @@ class TestPipelineFlow:
         pipeline = Pipeline(language="java", task="method_naming")
         with pytest.raises(ValueError):
             pipeline.rename("class T {}")
-
-
-class TestPigeonShimBackCompat:
-    def test_model_attributes_remain_assignable(self, tmp_path):
-        # Pre-Pipeline code loaded models by assigning pigeon.crf_model.
-        from repro import Pigeon
-        from repro.learning.crf import CrfModel
-
-        trained = Pigeon(language="javascript")
-        trained.train(TRAIN_JS[:6])
-        path = str(tmp_path / "crf.json")
-        trained.crf_model.save(path)
-
-        fresh = Pigeon(language="javascript")
-        fresh.crf_model = CrfModel.load(path)
-        assert fresh.predict(TEST_JS) == trained.predict(TEST_JS)

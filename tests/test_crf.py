@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.learning.crf import (
@@ -13,6 +14,8 @@ from repro.learning.crf import (
     topk_for_node,
 )
 from repro.learning.crf.inference import predict
+
+from oracles import crf_scalar
 
 
 def tiny_graph(gold_a="done", gold_b="count"):
@@ -58,37 +61,54 @@ class TestGraph:
         assert graph.gold_assignment() == ["done", "count"]
 
 
+def compiled_score(model, graph, index, label, assignment):
+    """One node's score for ``label`` through the compiled engine."""
+    compiled = model.compile()
+    ids = [model.label_id(value) for value in assignment]
+    return compiled.score_candidates(
+        compiled.compile_graph(graph),
+        index,
+        np.array([model.label_id(label)], dtype=np.int64),
+        np.array(ids, dtype=np.int64),
+    )[0]
+
+
 class TestModelScoring:
     def test_node_score_sums_matching_weights(self):
         graph = tiny_graph()
         model = CrfModel()
         model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
         model.unary_weights[model.unary_key("done", "selfA")] = 0.5
-        score = model.node_score(graph.unknowns[0], "done", ["done", "count"])
+        assignment = ["done", "count"]
+        score = crf_scalar.node_score(model, graph.unknowns[0], "done", assignment)
         # pairwise known + unknown edge (weight 0) + unary
         assert score == pytest.approx(2.5)
+        assert compiled_score(model, graph, 0, "done", assignment) == score
 
     def test_unary_disabled(self):
         graph = tiny_graph()
         model = CrfModel(use_unary=False)
         model.unary_weights[model.unary_key("done", "selfA")] = 5.0
-        score = model.node_score(graph.unknowns[0], "done", ["done", "count"])
+        assignment = ["done", "count"]
+        score = crf_scalar.node_score(model, graph.unknowns[0], "done", assignment)
         assert score == 0.0
+        assert compiled_score(model, graph, 0, "done", assignment) == 0.0
 
     def test_assignment_score(self):
         graph = tiny_graph()
         model = CrfModel()
         model.pair_weights[model.pair_key("done", "relA", "true")] = 1.0
         model.pair_weights[model.pair_key("count", "relB", "0")] = 1.0
-        assert model.assignment_score(graph, ["done", "count"]) == pytest.approx(2.0)
+        score = crf_scalar.assignment_score(model, graph, ["done", "count"])
+        assert score == pytest.approx(2.0)
 
     def test_candidates_come_from_observed_contexts(self):
         graph = tiny_graph()
         model = CrfModel()
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
-        candidates = model.candidates_for(graph.unknowns[0], ["?", "?"])
-        assert "done" in candidates
+        candidate_ids = model.candidate_ids_for(graph.unknowns[0], [-1, -1])
+        assert model.label_id("done") in candidate_ids
 
     def test_top_features_interpretability(self):
         model = CrfModel()
@@ -127,14 +147,14 @@ class TestInference:
             model.observe_training_node(node, graph)
         model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
         model.pair_weights[model.pair_key("count", "relB", "0")] = 2.0
-        assignment = map_inference(model, graph)
+        assignment = map_inference(model.compile(), graph)
         assert assignment == ["done", "count"]
 
     def test_loss_augmented_requires_gold(self):
         graph = tiny_graph()
         model = CrfModel()
         with pytest.raises(ValueError):
-            map_inference(model, graph, loss_augmented=True)
+            map_inference(model.compile(), graph, loss_augmented=True)
 
     def test_pairwise_consistency_via_edges(self):
         """Unknown-unknown factors couple the two predictions."""
@@ -145,7 +165,7 @@ class TestInference:
         # Strong coupling: 'done' with 'count' across the edge.
         model.pair_weights[model.pair_key("done", "relAB", "count")] = 5.0
         model.pair_weights[model.pair_key("count", "relBA", "done")] = 5.0
-        assignment = map_inference(model, graph)
+        assignment = map_inference(model.compile(), graph)
         assert assignment == ["done", "count"]
 
     def test_topk_ranked_descending(self):
@@ -156,7 +176,7 @@ class TestInference:
         model.pair_weights[model.pair_key("done", "relA", "true")] = 2.0
         model.pair_weights[model.pair_key("flag", "relA", "true")] = 1.0
         model.label_counts[model.label_id("flag")] = 1
-        ranked = topk_for_node(model, graph, 0, k=3)
+        ranked = topk_for_node(model.compile(), graph, 0, k=3)
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
         assert ranked[0][0] == "done"
@@ -166,7 +186,7 @@ class TestInference:
         model = CrfModel()
         for node in graph.unknowns:
             model.observe_training_node(node, graph)
-        assert len(predict(model, graph)) == 2
+        assert len(predict(model.compile(), graph)) == 2
 
 
 def synthetic_graphs(n=30):
@@ -186,9 +206,10 @@ class TestTraining:
         graphs = synthetic_graphs()
         model, stats = CrfTrainer(TrainingConfig(epochs=3)).train(graphs)
         assert stats.epochs == 3
+        compiled = model.compile()
         correct = 0
         for graph in graphs:
-            assignment = map_inference(model, graph)
+            assignment = map_inference(compiled, graph)
             correct += int(assignment == graph.gold_assignment())
         assert correct == len(graphs)
 
@@ -205,6 +226,7 @@ class TestTraining:
             graphs.append(graph)
         with_unary, _ = CrfTrainer(TrainingConfig(epochs=3, use_unary=True)).train(graphs)
         without_unary, _ = CrfTrainer(TrainingConfig(epochs=3, use_unary=False)).train(graphs)
+        with_unary, without_unary = with_unary.compile(), without_unary.compile()
         hits_with = sum(
             map_inference(with_unary, g) == g.gold_assignment() for g in graphs
         )

@@ -2,15 +2,17 @@
 
 The contract under test is *bit-identity*: for every graph, the
 vectorised :class:`~repro.learning.crf.compiled.CompiledCrfModel` must
-reproduce the scalar engine's MAP assignments, top-k suggestion scores,
-loss-augmented margin violators, tie-break order, and fallbacks exactly
--- float-equal, not approximately.  Covered here:
+reproduce the scalar oracle's (``oracles/crf_scalar.py``) MAP
+assignments, top-k suggestion scores, loss-augmented margin violators,
+tie-break order, and fallbacks exactly -- float-equal, not
+approximately.  Covered here:
 
 * real models across all four language frontends and every task
   (variable naming, method naming, Java type prediction);
 * loss-augmented inference (the trainer's inner loop) and full trainer
-  parity (``engine="compiled"`` trains the same weights as the oracle,
-  including weight decay and averaging);
+  parity (the trainer, which always scores on the compiled engine,
+  trains the same weights as when its inference is swapped for the
+  oracle, including weight decay and averaging);
 * edge cases: empty candidate beams, labels outside the trained vocab,
   count-and-score ties, write-through after compile, stale packs.
 """
@@ -33,7 +35,9 @@ from repro.learning.crf import (
     map_inference,
     topk_for_node,
 )
-from repro.learning.crf.inference import UNKNOWN_LABEL, _best_id, _best_label
+from repro.learning.crf.inference import UNKNOWN_LABEL, _best_id
+
+from oracles import crf_scalar
 
 #: One cell per language, both graph tasks, plus the Java-only task.
 CELLS = [
@@ -79,22 +83,26 @@ class TestRealModels:
     def test_map_inference_bit_identical(self, trained_cell):
         _, model, compiled, graphs = trained_cell
         for graph in graphs:
-            assert map_inference(compiled, graph) == map_inference(model, graph)
+            assert map_inference(compiled, graph) == crf_scalar.map_inference(
+                model, graph
+            )
 
     def test_loss_augmented_bit_identical(self, trained_cell):
         _, model, compiled, graphs = trained_cell
         for graph in graphs:
             gold = graph.gold_assignment()
-            scalar = map_inference(model, graph, loss_augmented=True, gold=gold)
+            scalar = crf_scalar.map_inference(
+                model, graph, loss_augmented=True, gold=gold
+            )
             vector = map_inference(compiled, graph, loss_augmented=True, gold=gold)
             assert vector == scalar
 
     def test_topk_scores_bit_identical(self, trained_cell):
         _, model, compiled, graphs = trained_cell
         for graph in graphs:
-            assignment = map_inference(model, graph)
+            assignment = crf_scalar.map_inference(model, graph)
             for index in range(len(graph)):
-                scalar = topk_for_node(
+                scalar = crf_scalar.topk_for_node(
                     model, graph, index, k=5, assignment=assignment
                 )
                 vector = topk_for_node(
@@ -103,17 +111,15 @@ class TestRealModels:
                 assert vector == scalar  # labels AND float scores, exactly
 
     def test_engine_flag_same_predictions(self, trained_cell):
-        pipeline, _, _, graphs = trained_cell
+        """The learner's predictions and suggestions equal the oracle's."""
+        pipeline, model, _, graphs = trained_cell
         learner = pipeline.learner
-        try:
-            learner.engine = "scalar"
-            scalar = [learner.predict(graph) for graph in graphs]
-            scalar_topk = [learner.suggest(graph, k=3) for graph in graphs]
-            learner.engine = "compiled"
-            compiled = [learner.predict(graph) for graph in graphs]
-            compiled_topk = [learner.suggest(graph, k=3) for graph in graphs]
-        finally:
-            learner.engine = "compiled"
+        scalar = [crf_scalar.learner_predict(model, graph) for graph in graphs]
+        scalar_topk = [
+            crf_scalar.learner_suggest(model, graph, k=3) for graph in graphs
+        ]
+        compiled = [learner.predict(graph) for graph in graphs]
+        compiled_topk = [learner.suggest(graph, k=3) for graph in graphs]
         assert compiled == scalar
         assert compiled_topk == scalar_topk
 
@@ -171,11 +177,15 @@ class TestSyntheticParity:
         compiled = model.compile()
         for seed in range(20, 30):
             graph = _random_graph(space, seed=seed)
-            assert map_inference(compiled, graph) == map_inference(model, graph)
+            assert map_inference(compiled, graph) == crf_scalar.map_inference(
+                model, graph
+            )
             gold = graph.gold_assignment()
             assert map_inference(
                 compiled, graph, loss_augmented=True, gold=gold
-            ) == map_inference(model, graph, loss_augmented=True, gold=gold)
+            ) == crf_scalar.map_inference(
+                model, graph, loss_augmented=True, gold=gold
+            )
 
     def test_unseen_gold_labels_in_loss_augmented(self):
         space = FeatureSpace()
@@ -183,11 +193,11 @@ class TestSyntheticParity:
         compiled = model.compile()
         graph = _random_graph(space, seed=41)
         # Gold labels the model has never interned, plus the "?" sentinel:
-        # the +1 margin must apply identically under both engines.
+        # the +1 margin must apply identically in engine and oracle.
         gold = ["never-seen-label"] * (len(graph) - 1) + [UNKNOWN_LABEL]
         assert map_inference(
             compiled, graph, loss_augmented=True, gold=gold
-        ) == map_inference(model, graph, loss_augmented=True, gold=gold)
+        ) == crf_scalar.map_inference(model, graph, loss_augmented=True, gold=gold)
 
     def test_unseen_assignment_labels_in_topk(self):
         space = FeatureSpace()
@@ -200,7 +210,9 @@ class TestSyntheticParity:
         for index in (0, 1, len(graph) - 1):
             assert topk_for_node(
                 compiled, graph, index, k=6, assignment=assignment
-            ) == topk_for_node(model, graph, index, k=6, assignment=assignment)
+            ) == crf_scalar.topk_for_node(
+                model, graph, index, k=6, assignment=assignment
+            )
 
 
 class TestEdgeCases:
@@ -209,24 +221,27 @@ class TestEdgeCases:
 
         The old scalar code initialised ``best_label`` from
         ``assignment[index]``, which *looked* like a stale-value fallback;
-        both engines now share one explicit rule.
+        the engine and the oracle now share one explicit rule.
         """
         graph = CrfGraph()
         graph.add_unknown("a", gold="x")
         model = CrfModel(space=graph.space)  # no candidate index at all
         stale = ["something-stale"]
-        assert _best_label(model, graph, 0, [], stale, False, None) == UNKNOWN_LABEL
+        assert (
+            crf_scalar._best_label(model, graph, 0, [], stale, False, None)
+            == UNKNOWN_LABEL
+        )
         compiled = model.compile()
         cg = compiled.compile_graph(graph)
         assignment = np.array([-1], dtype=np.int64)
         assert _best_id(compiled, cg, 0, [], assignment, False, None, -1) == -1
         # End to end: an untrained-index model predicts "?" everywhere.
-        assert map_inference(model, graph) == [UNKNOWN_LABEL]
+        assert crf_scalar.map_inference(model, graph) == [UNKNOWN_LABEL]
         assert map_inference(compiled, graph) == [UNKNOWN_LABEL]
 
     def test_tie_break_prefers_first_candidate(self):
         """Equal counts and equal (0.0) scores: the label-string order of
-        the candidate ranking decides, identically in both engines."""
+        the candidate ranking decides, identically in engine and oracle."""
         graph = CrfGraph()
         a = graph.add_unknown("a", gold="aaa")
         graph.add_known_factor(a, "rel", "ctx")
@@ -236,9 +251,12 @@ class TestEdgeCases:
         for label in ("bbb", "aaa"):  # insertion order != string order
             model.candidate_index[(rel, ctx)][model.label_id(label)] = 3
             model.label_counts[model.label_id(label)] = 3
-        assert model.candidates_for(graph.unknowns[0], ["?"]) == ["aaa", "bbb"]
+        assert crf_scalar.candidates_for(model, graph.unknowns[0], ["?"]) == [
+            "aaa",
+            "bbb",
+        ]
         compiled = model.compile()
-        assert map_inference(model, graph) == ["aaa"]
+        assert crf_scalar.map_inference(model, graph) == ["aaa"]
         assert map_inference(compiled, graph) == ["aaa"]
 
     def test_write_through_and_overflow(self):
@@ -262,9 +280,13 @@ class TestEdgeCases:
             compiled.set_unary(ukey, model.unary_weights[ukey])
             if step % 150 == 0:
                 graph = _random_graph(space, seed=step)
-                assert map_inference(compiled, graph) == map_inference(model, graph)
+                assert map_inference(compiled, graph) == crf_scalar.map_inference(
+                    model, graph
+                )
         graph = _random_graph(space, seed=999)
-        assert map_inference(compiled, graph) == map_inference(model, graph)
+        assert map_inference(compiled, graph) == crf_scalar.map_inference(
+            model, graph
+        )
 
     def test_invalidate_repacks_after_bulk_mutation(self):
         space = FeatureSpace()
@@ -273,7 +295,9 @@ class TestEdgeCases:
         model.l2_decay(0.5)
         compiled.invalidate()
         graph = _random_graph(space, seed=77)
-        assert map_inference(compiled, graph) == map_inference(model, graph)
+        assert map_inference(compiled, graph) == crf_scalar.map_inference(
+            model, graph
+        )
 
     def test_stale_compiled_graph_raises(self):
         space = FeatureSpace()
@@ -307,25 +331,28 @@ class TestTrainerParity:
     @pytest.mark.parametrize(
         "decay,average", [(1.0, True), (0.9, True), (1.0, False)]
     )
-    def test_compiled_training_bit_identical(self, decay, average):
-        def train(engine):
+    def test_compiled_training_bit_identical(self, monkeypatch, decay, average):
+        def train():
             space = FeatureSpace()
             graphs = [_random_graph(space, n_nodes=20, seed=s) for s in range(8)]
-            config = TrainingConfig(
-                epochs=3, engine=engine, weight_decay=decay, average=average
-            )
+            config = TrainingConfig(epochs=3, weight_decay=decay, average=average)
             model, stats = CrfTrainer(config).train(graphs)
             return model, stats
 
-        compiled_model, compiled_stats = train("compiled")
-        scalar_model, scalar_stats = train("scalar")
+        compiled_model, compiled_stats = train()
+        # The trainer hands its write-through pack to map_inference; the
+        # oracle scores the dict model behind it, which the trainer keeps
+        # current on every update.
+        monkeypatch.setattr(
+            "repro.learning.crf.training.map_inference",
+            lambda compiled, graph, **kwargs: crf_scalar.map_inference(
+                compiled.model, graph, **kwargs
+            ),
+        )
+        scalar_model, scalar_stats = train()
         assert dict(compiled_model.pair_weights) == dict(scalar_model.pair_weights)
         assert dict(compiled_model.unary_weights) == dict(scalar_model.unary_weights)
         assert compiled_stats.updates == scalar_stats.updates
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            CrfTrainer(TrainingConfig(engine="quantum")).train([])
 
 
 class TestCompiledModelShape:

@@ -11,6 +11,14 @@ from repro.learning.crf import (
     topk_for_node,
 )
 
+from oracles import crf_scalar
+
+
+def candidate_labels(model, node, beam=48):
+    """The candidate beam of a node with no assigned neighbours, as labels."""
+    ids = model.candidate_ids_for(node, [-1], beam=beam)
+    return [model.label_of(label_id) for label_id in ids]
+
 
 def chain_graph(n=5):
     """A chain of unknowns, each coupled to the next; gold alternates."""
@@ -32,7 +40,7 @@ class TestCandidates:
         context = (model.rel_id("rel"), model.label_id("neighbor"))
         for i in range(100):
             model.candidate_index[context][model.label_id(f"label{i}")] = 100 - i
-        candidates = model.candidates_for(graph.unknowns[0], ["?"], beam=10)
+        candidates = candidate_labels(model, graph.unknowns[0], beam=10)
         assert len(candidates) == 10
         assert candidates[0] == "label0"
 
@@ -41,7 +49,7 @@ class TestCandidates:
         graph.add_unknown("e", gold="g")
         model = CrfModel()
         model.label_counts.update({model.label_id("common"): 50, model.label_id("rare"): 1})
-        candidates = model.candidates_for(graph.unknowns[0], ["?"])
+        candidates = candidate_labels(model, graph.unknowns[0])
         assert "common" in candidates
 
     def test_unary_candidates_used(self):
@@ -50,7 +58,7 @@ class TestCandidates:
         graph.add_unary_factor(index, "selfrel")
         model = CrfModel()
         model.unary_candidate_index[model.rel_id("selfrel")][model.label_id("fromunary")] = 5
-        candidates = model.candidates_for(graph.unknowns[0], ["?"])
+        candidates = candidate_labels(model, graph.unknowns[0])
         assert "fromunary" in candidates
 
 
@@ -59,16 +67,17 @@ class TestChainPropagation:
         """Label information propagates along unknown-unknown edges."""
         graphs = [chain_graph() for _ in range(20)]
         model, _ = CrfTrainer(TrainingConfig(epochs=4)).train(graphs)
-        assignment = map_inference(model, chain_graph())
+        assignment = map_inference(model.compile(), chain_graph())
         assert assignment == ["a", "b", "a", "b", "a"]
 
     def test_more_sweeps_never_hurt_convergence(self):
         graphs = [chain_graph() for _ in range(10)]
         model, _ = CrfTrainer(TrainingConfig(epochs=3)).train(graphs)
-        one = map_inference(model, chain_graph(), max_sweeps=1)
-        many = map_inference(model, chain_graph(), max_sweeps=16)
-        score_one = model.assignment_score(chain_graph(), one)
-        score_many = model.assignment_score(chain_graph(), many)
+        compiled = model.compile()
+        one = map_inference(compiled, chain_graph(), max_sweeps=1)
+        many = map_inference(compiled, chain_graph(), max_sweeps=16)
+        score_one = crf_scalar.assignment_score(model, chain_graph(), one)
+        score_many = crf_scalar.assignment_score(model, chain_graph(), many)
         assert score_many >= score_one
 
 
@@ -76,13 +85,13 @@ class TestTopkExtras:
     def test_topk_respects_k(self):
         graph = chain_graph()
         model, _ = CrfTrainer(TrainingConfig(epochs=2)).train([chain_graph()])
-        ranked = topk_for_node(model, graph, 0, k=1)
+        ranked = topk_for_node(model.compile(), graph, 0, k=1)
         assert len(ranked) == 1
 
     def test_topk_computes_assignment_when_missing(self):
         graph = chain_graph()
         model, _ = CrfTrainer(TrainingConfig(epochs=2)).train([chain_graph()])
-        ranked = topk_for_node(model, graph, 2, k=3)
+        ranked = topk_for_node(model.compile(), graph, 2, k=3)
         assert ranked
 
 

@@ -10,16 +10,13 @@ each tree's sample independent of processing order.
 
 import pytest
 
-from repro.core.extraction import (
-    ExtractionConfig,
-    PathExtractor,
-    ReferencePathExtractor,
-    ast_fingerprint,
-)
+from repro.core.extraction import ExtractionConfig, PathExtractor, ast_fingerprint
 from repro.core.interning import FeatureSpace
 from repro.corpus import generate_corpus
 from repro.corpus.generator import CorpusConfig
 from repro.lang.base import parse_source
+
+from oracles.extraction import ReferencePathExtractor
 
 LANGUAGES = ("javascript", "java", "python", "csharp")
 

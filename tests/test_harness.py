@@ -3,6 +3,7 @@
 import pytest
 
 from repro.corpus.generator import CorpusConfig
+from repro.eval import harness
 from repro.eval.harness import (
     ExperimentResult,
     abstraction_sweep,
@@ -21,8 +22,11 @@ from repro.eval.reports import (
     format_table,
     format_table2,
 )
-from repro.learning.crf import TrainingConfig
+from repro.eval.metrics import AccuracyCounter
+from repro.learning.crf import CompiledCrfModel, TrainingConfig
 from repro.learning.word2vec import SgnsConfig
+
+from oracles import crf_scalar
 
 
 TINY = CorpusConfig(n_projects=4, files_per_project=(3, 5), seed=31)
@@ -75,6 +79,32 @@ class TestEvaluateCrf:
             js_data, path_graph_builder(5, 2), training_config=FAST_TRAIN, with_f1=True
         )
         assert 0.0 <= result.f1 <= 100.0
+
+    def test_assignments_match_scalar_oracle(self, js_data, monkeypatch):
+        """Table cells are scored by the shipped (compiled) engine, and
+        every assignment equals the scalar oracle's on the trained model."""
+        real = harness.map_inference
+        calls = []
+
+        def recording(compiled, graph, **kwargs):
+            assignment = real(compiled, graph, **kwargs)
+            calls.append((compiled, graph, assignment))
+            return assignment
+
+        monkeypatch.setattr(harness, "map_inference", recording)
+        result = evaluate_crf(
+            js_data, path_graph_builder(5, 2), training_config=FAST_TRAIN
+        )
+        assert calls
+        oracle_accuracy = AccuracyCounter()
+        for compiled, graph, assignment in calls:
+            assert isinstance(compiled, CompiledCrfModel)
+            oracle = crf_scalar.map_inference(compiled.model, graph)
+            assert assignment == oracle
+            for i, node in enumerate(graph.unknowns):
+                oracle_accuracy.add(oracle[i], node.gold)
+        assert result.n == oracle_accuracy.total
+        assert result.accuracy == oracle_accuracy.as_percent()
 
 
 class TestEvaluateW2v:

@@ -1,11 +1,8 @@
-"""Unit tests for the PIGEON facade."""
+"""Unit tests for PIGEON's train/predict facade (:class:`repro.Pipeline`)."""
 
 import pytest
 
-from repro import Pigeon
-from repro.core.pigeon import DEFAULT_PARAMS
-from repro.learning.crf import TrainingConfig
-from repro.learning.word2vec import SgnsConfig
+from repro import Pipeline
 
 
 TRAIN_JS = [
@@ -66,57 +63,61 @@ function run() {
 class TestConstruction:
     def test_rejects_unknown_language(self):
         with pytest.raises(ValueError):
-            Pigeon(language="cobol")
+            Pipeline(language="cobol")
 
     def test_rejects_unknown_task(self):
         with pytest.raises(ValueError):
-            Pigeon(task="poetry")
+            Pipeline(language="javascript", task="poetry")
 
     def test_rejects_unknown_learner(self):
         with pytest.raises(ValueError):
-            Pigeon(learner="gbdt")
+            Pipeline(language="javascript", learner="gbdt")
 
     def test_w2v_only_for_variable_naming(self):
         with pytest.raises(ValueError):
-            Pigeon(task="method_naming", learner="word2vec")
+            Pipeline(
+                language="javascript", task="method_naming", learner="word2vec"
+            )
 
     def test_types_only_for_java(self):
         with pytest.raises(ValueError):
-            Pigeon(language="python", task="type_prediction")
-        Pigeon(language="java", task="type_prediction")  # ok
+            Pipeline(language="python", task="type_prediction")
+        Pipeline(language="java", task="type_prediction")  # ok
 
     def test_default_parameters_follow_table2(self):
-        pigeon = Pigeon(language="javascript", task="variable_naming")
-        assert pigeon.extractor.config.max_length == 7
-        assert pigeon.extractor.config.max_width == 3
-        java = Pigeon(language="java", task="type_prediction")
-        assert java.extractor.config.max_length == 4
-        assert java.extractor.config.max_width == 1
+        pipeline = Pipeline(language="javascript", task="variable_naming")
+        assert pipeline.representation.extractor.config.max_length == 7
+        assert pipeline.representation.extractor.config.max_width == 3
+        java = Pipeline(language="java", task="type_prediction")
+        assert java.representation.extractor.config.max_length == 4
+        assert java.representation.extractor.config.max_width == 1
 
     def test_explicit_parameters_override(self):
-        pigeon = Pigeon(max_length=9, max_width=5)
-        assert pigeon.extractor.config.max_length == 9
-        assert pigeon.extractor.config.max_width == 5
+        pipeline = Pipeline(
+            language="javascript", extraction={"max_length": 9, "max_width": 5}
+        )
+        assert pipeline.representation.extractor.config.max_length == 9
+        assert pipeline.representation.extractor.config.max_width == 5
 
 
 class TestCrfFlow:
     def test_predict_before_train_raises(self):
         with pytest.raises(RuntimeError):
-            Pigeon().predict(TEST_JS)
+            Pipeline(language="javascript").predict(TEST_JS)
 
     def test_train_predict_roundtrip(self):
-        pigeon = Pigeon(training_config=TrainingConfig(epochs=3))
-        stats = pigeon.train(TRAIN_JS)
+        pipeline = Pipeline(language="javascript", training={"epochs": 3})
+        stats = pipeline.train(TRAIN_JS)
         assert stats.files_trained == len(TRAIN_JS)
         assert stats.elements_trained > 0
-        predictions = pigeon.predict(TEST_JS)
+        predictions = pipeline.predict(TEST_JS)
         assert len(predictions) == 1
         assert list(predictions.values())[0] == "done"
 
     def test_suggest_topk(self):
-        pigeon = Pigeon(training_config=TrainingConfig(epochs=3))
-        pigeon.train(TRAIN_JS)
-        suggestions = pigeon.suggest(TEST_JS, k=3)
+        pipeline = Pipeline(language="javascript", training={"epochs": 3})
+        pipeline.train(TRAIN_JS)
+        suggestions = pipeline.suggest(TEST_JS, k=3)
         ranked = list(suggestions.values())[0]
         assert len(ranked) <= 3
         assert ranked[0][0] == "done"
@@ -131,16 +132,20 @@ class TestW2vFlow:
     _SGNS = dict(dim=16, epochs=12, negatives=1)
 
     def test_train_predict(self):
-        pigeon = Pigeon(learner="word2vec", sgns_config=SgnsConfig(**self._SGNS))
-        pigeon.train(TRAIN_JS)
-        predictions = pigeon.predict(TEST_JS)
+        pipeline = Pipeline(
+            language="javascript", learner="word2vec", sgns=self._SGNS
+        )
+        pipeline.train(TRAIN_JS)
+        predictions = pipeline.predict(TEST_JS)
         assert predictions
         assert list(predictions.values())[0] == "done"
 
     def test_suggest(self):
-        pigeon = Pigeon(learner="word2vec", sgns_config=SgnsConfig(**self._SGNS))
-        pigeon.train(TRAIN_JS)
-        suggestions = pigeon.suggest(TEST_JS, k=2)
+        pipeline = Pipeline(
+            language="javascript", learner="word2vec", sgns=self._SGNS
+        )
+        pipeline.train(TRAIN_JS)
+        suggestions = pipeline.suggest(TEST_JS, k=2)
         assert all(len(ranked) <= 2 for ranked in suggestions.values())
 
 
@@ -154,9 +159,9 @@ class TestMethodNaming:
             % i
             for i in range(6)
         ]
-        pigeon = Pigeon(
-            language="java", task="method_naming", training_config=TrainingConfig(epochs=3)
+        pipeline = Pipeline(
+            language="java", task="method_naming", training={"epochs": 3}
         )
-        pigeon.train(train)
-        predictions = pigeon.predict(train[0])
+        pipeline.train(train)
+        predictions = pipeline.predict(train[0])
         assert list(predictions.values()) == ["count"]

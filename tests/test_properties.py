@@ -13,6 +13,8 @@ from repro.eval.metrics import exact_match, normalize_name, subtoken_f1, subtoke
 from repro.lang.lexing import EOF, Lexer
 from repro.learning.crf import CrfGraph, CrfModel
 
+from oracles import crf_scalar
+
 
 # ----------------------------------------------------------------------
 # Random tree generation
@@ -222,7 +224,8 @@ class TestCrfScoreProperties:
         expected = 0.0
         for label, rel, neighbor in factors:
             graph.add_known_factor(index, rel, neighbor)
-            model.pair_weights[("g", rel, neighbor)] += 1.0
+            model.pair_weights[model.pair_key("g", rel, neighbor)] += 1.0
+        g_id = model.label_id("g")
         for factor in graph.unknowns[0].known:
-            expected += model.pair_weights[("g", factor.rel, factor.label)]
-        assert model.node_score(graph.unknowns[0], "g", ["g"]) == expected
+            expected += model.pair_weights[(g_id, factor.rel, factor.label)]
+        assert crf_scalar.node_score(model, graph.unknowns[0], "g", ["g"]) == expected

@@ -28,6 +28,8 @@ from repro.serving import (
     ServingError,
 )
 
+from oracles import crf_scalar
+
 #: A program whose identifiers never appear in the generated corpus, so
 #: predict-time interning must handle genuinely unseen strings.
 NOVEL_JS = """
@@ -228,31 +230,17 @@ class TestHealthAndStats:
 
 
 class TestInferenceEngines:
-    def test_stats_expose_served_engine(self, live_server):
-        _server, url = live_server
-        with ServingClient(url) as client:
-            stats = client.stats()
-        cell = "javascript/variable_naming/ast-paths/crf"
-        assert stats["engines"] == {cell: "compiled"}
-
     def test_scalar_and_compiled_hosts_are_bit_identical(self, model_path):
-        """Serving parity: the engine flag changes the wall-clock only."""
-        compiled_handle = ModelHost([model_path], engine="compiled").resolve(
-            None, None
+        """Serving parity: a served handle answers exactly what the scalar
+        oracle computes on the same saved model."""
+        handle = ModelHost([model_path]).resolve(None, None)
+        reference = Pipeline.load(model_path)
+        assert handle.predict(NOVEL_JS) == crf_scalar.pipeline_predict(
+            reference, NOVEL_JS
         )
-        scalar_handle = ModelHost([model_path], engine="scalar").resolve(
-            None, None
+        assert handle.suggest(NOVEL_JS, k=3) == crf_scalar.pipeline_suggest(
+            reference, NOVEL_JS, k=3
         )
-        assert compiled_handle.engine == "compiled"
-        assert scalar_handle.engine == "scalar"
-        assert compiled_handle.predict(NOVEL_JS) == scalar_handle.predict(NOVEL_JS)
-        assert compiled_handle.suggest(NOVEL_JS, k=3) == scalar_handle.suggest(
-            NOVEL_JS, k=3
-        )
-
-    def test_unknown_engine_rejected(self, model_path):
-        with pytest.raises(ValueError, match="engine"):
-            ModelHost([model_path], engine="quantum")
 
 
 class TestPredict:

@@ -334,7 +334,6 @@ class TestTranslateTask:
         host = ModelHost.__new__(ModelHost)  # in-memory handle, no file
         handle = pipeline.scoring_handle()
         host.model_paths = []
-        host.engine = None
         host.handles = {("javascript", "variable_naming"): handle}
         host.load_info = {}
         host.workers = 0
