@@ -21,30 +21,38 @@ numpy ops:
   is looked up once, so ICM sweeps touch no python tuples.
 * At *scoring* time, :meth:`score_candidates` builds the ``(factors x
   candidates)`` key matrix, gathers all weights with **one**
-  ``searchsorted``, and reduces along the factor axis.
+  ``searchsorted``, and reduces along the factor axis.  Within one
+  inference call a node's known and unary rows do not depend on the
+  assignment, so a per-call memo keeps their part of the sum and a
+  re-visit gathers only the edge rows.
 
 **Bit-identity with the scalar oracle** (the per-candidate dict-lookup
 scorer in ``tests/oracles/crf_scalar.py``) is the design constraint, not
 an afterthought: predictions (tie-breaks included) and suggestion scores
 must match it exactly.  Two rules make that hold:
 
-1. The factor-axis reduction runs row by row (``scores += w[f]``) in
-   factor order -- the same left-to-right IEEE addition sequence the
-   scalar loop performs.  Absent weights contribute ``+0.0``, which is
-   bitwise inert (the scalar running sum is never ``-0.0``).
+1. The factor-axis reduction is ``np.add.accumulate`` down a stack
+   whose first row is the ``+0.0`` start: sequential by definition, in
+   factor order (known, edges, unary) -- the same left-to-right IEEE
+   addition sequence the scalar loop performs.  (``sum(axis=0)`` is
+   not: numpy sums a single column pairwise.)  Absent weights contribute
+   ``+0.0``, which is bitwise inert (the scalar running sum is never
+   ``-0.0``), and the known-prefix partial a re-visit resumes from is
+   one of the accumulated rows.
 2. Candidate ids at or beyond ``label_base`` (overlay-interned request
-   strings) and the ``-1`` sentinel (the un-interned ``"?"`` fallback)
-   are masked to a zero score, exactly what the scalar path computes for
-   a label that matches no trained feature.
+   strings, labels interned after the pack) and the ``-1`` sentinel (the
+   un-interned ``"?"`` fallback) are masked to a zero score, exactly what
+   the scalar path computes for a label that matches no trained feature
+   -- unless the overflow below holds a weight for them.
 
 The trainer mutates weights between inference calls, so the pack
 supports cheap **write-through**: :meth:`set_pair`/:meth:`set_unary`
 update packed entries in place, unseen keys land in a small overflow
 dict that scoring consults per *factor* (not per candidate), and the
 pack rebuilds itself once the overflow outgrows a threshold.  Overflow
-weights are patched into the gathered weight matrix *before* the
-factor-order reduction, so mid-training scoring stays bit-identical to
-the scalar oracle too.
+weights are patched into the gathered weight matrix after the mask and
+*before* the factor-order reduction, so mid-training scoring stays
+bit-identical to the scalar oracle too.
 """
 
 from __future__ import annotations
@@ -282,15 +290,24 @@ class CompiledCrfModel:
         index: int,
         candidates: np.ndarray,
         assignment_ids: np.ndarray,
+        memo: Optional[Dict[int, tuple]] = None,
     ) -> np.ndarray:
         """Scores of every candidate label for node ``index`` at once.
 
-        ``candidates`` is an ``int64`` array of label ids; ``-1`` (or any
-        id at/above :attr:`label_base`) means "no trained feature can
-        match" and scores exactly ``0.0``.  ``assignment_ids`` is the
-        current assignment as an ``int64`` array over all nodes (``-1``
-        for labels outside the model vocabulary).  Bit-identical to
-        summing the dict weights per candidate in factor order.
+        ``candidates`` is an ``int64`` array of distinct label ids; ``-1``
+        (or any id at/above :attr:`label_base` that the overflow holds no
+        weight for) means "no trained feature can match" and scores
+        exactly ``0.0``.  ``assignment_ids`` is the current assignment as an
+        ``int64`` array over all nodes (``-1`` for labels outside the
+        model vocabulary).  Bit-identical to summing the dict weights per
+        candidate in factor order.
+
+        ``memo`` is per-inference-call state (a dict the caller creates
+        and drops; the weights must not change while it lives).  It keeps
+        each node's known-factor prefix sum and unary weight rows for the
+        candidate vector last scored, so a re-visit with the same
+        candidates gathers only the edge rows, which are the only ones
+        that depend on the assignment.
         """
         if cg.pack_version != self._pack_version:
             raise RuntimeError(
@@ -299,113 +316,117 @@ class CompiledCrfModel:
                 f"{self._pack_version}; call compile_graph() again"
             )
         cols = cg.cols
-        n_candidates = len(candidates)
         ks, ke = cg.known_off[index], cg.known_off[index + 1]
         es, ee = cg.edge_off[index], cg.edge_off[index + 1]
         us, ue = cg.unary_off[index], cg.unary_off[index + 1]
-        use_unary = self.model.use_unary
+        if not self.model.use_unary:
+            ue = us
 
-        parts = []
-        edge_other_ids: List[int] = []
-        if ke > ks:
-            parts.append(cg.known_rows[ks:ke])
-        if ee > es:
-            edge_other_ids = assignment_ids[cols.edge_other[es:ee]].tolist()
-            group_of = self._group_of
-            # The other >= 0 gate keeps unassigned/unseen neighbours
-            # (sentinel -1) from colliding with UNARY_OTHER group keys;
-            # the scalar path skips those edges the same way.
-            parts.append(
-                np.fromiter(
-                    (
-                        group_of.get((rel, other), -1) if other >= 0 else -1
-                        for rel, other in zip(
-                            cols.edge_rel_list[es:ee], edge_other_ids
-                        )
-                    ),
-                    dtype=np.int64,
-                    count=ee - es,
-                )
+        # The other >= 0 gate keeps unassigned/unseen neighbours
+        # (sentinel -1) from colliding with UNARY_OTHER group keys; the
+        # scalar path skips those edges the same way.
+        edge_groups = [
+            (rel, other) if other >= 0 else None
+            for rel, other in zip(
+                cols.edge_rel_list[es:ee],
+                assignment_ids[cols.edge_other[es:ee]].tolist(),
             )
-        if use_unary and ue > us:
-            parts.append(cg.unary_rows[us:ue])
-        if not parts:
-            return np.zeros(n_candidates, dtype=np.float64)
-        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        n_factors = len(rows)
+        ]
+        group_of = self._group_of
+        edge_rows = np.fromiter(
+            (group_of.get(group, -1) if group else -1 for group in edge_groups),
+            dtype=np.int64,
+            count=ee - es,
+        )
 
-        valid = (candidates >= 0) & (candidates < self._label_base)
-        all_valid = bool(valid.all())
-        safe = candidates if all_valid else np.where(valid, candidates, 0)
-        keys = rows[:, None] * self._label_base + safe[None, :]
-        flat = keys.ravel()
-        if len(self._keys):
+        entry = memo.get(index) if memo is not None else None
+        if entry is not None and (
+            entry[0] is candidates or np.array_equal(entry[0], candidates)
+        ):
+            _, prefix, unary_weights = entry
+            edge_weights = self._gather(edge_rows, edge_groups, candidates)
+            stack = np.concatenate((prefix[None, :], edge_weights, unary_weights))
+            return np.add.accumulate(stack, axis=0)[-1]
+
+        n_known = ke - ks
+        rows = np.concatenate(
+            (cg.known_rows[ks:ke], edge_rows, cg.unary_rows[us:ue])
+        )
+        groups = None
+        if self._overflow:
+            groups = list(
+                zip(cols.known_rel_list[ks:ke], cols.known_label_list[ks:ke])
+            )
+            groups += edge_groups
+            groups += [(rel, UNARY_OTHER) for rel in cols.unary_rel_list[us:ue]]
+        # Row 0 is the +0.0 start of the scalar running sum, so the
+        # accumulated rows are exactly its partial sums: partial[1 + f] is
+        # the sum after factor f, in factor order (IEEE addition is not
+        # associative; a pairwise ``sum`` would round differently).
+        stack = np.zeros((1 + len(rows), len(candidates)), dtype=np.float64)
+        stack[1:] = self._gather(rows, groups, candidates)
+        partial = np.add.accumulate(stack, axis=0)
+        if memo is not None and ee > es:
+            memo[index] = (
+                candidates,
+                partial[n_known].copy(),
+                stack[1 + n_known + ee - es :].copy(),
+            )
+        return partial[-1]
+
+    def _gather(
+        self,
+        rows: np.ndarray,
+        groups: Optional[List[Optional[Tuple[int, int]]]],
+        candidates: np.ndarray,
+    ) -> np.ndarray:
+        """The ``(len(rows), len(candidates))`` weight matrix.
+
+        ``rows`` are packed group rows (``-1``: none); ``groups`` are the
+        same factors' group keys (``None`` for a skipped edge), needed
+        only while the overflow holds post-pack weights.
+        """
+        n_candidates = len(candidates)
+        if not len(rows) or not len(self._keys):
+            weight_matrix = np.zeros((len(rows), n_candidates), dtype=np.float64)
+        else:
+            valid = (candidates >= 0) & (candidates < self._label_base)
+            all_valid = bool(valid.all())
+            safe = candidates if all_valid else np.where(valid, candidates, 0)
+            flat = (rows[:, None] * self._label_base + safe[None, :]).ravel()
             positions = np.searchsorted(self._keys, flat)
             np.minimum(positions, len(self._keys) - 1, out=positions)
             found = self._keys[positions] == flat
-            gathered = np.where(found, self._weights[positions], 0.0)
-            weight_matrix = gathered.reshape(n_factors, n_candidates)
-        else:
-            weight_matrix = np.zeros((n_factors, n_candidates), dtype=np.float64)
-
-        if self._overflow:
-            self._patch_overflow(
-                weight_matrix, cg, candidates, ks, ke, es, ee, us, ue,
-                edge_other_ids, use_unary,
+            weight_matrix = np.where(found, self._weights[positions], 0.0).reshape(
+                len(rows), n_candidates
             )
-        if not all_valid:
-            weight_matrix[:, ~valid] = 0.0
-
-        # Row-by-row reduction: the same left-to-right addition order the
-        # scalar loop uses per candidate, so rounding agrees bit for bit.
-        scores = np.zeros(n_candidates, dtype=np.float64)
-        for f in range(n_factors):
-            scores += weight_matrix[f]
-        return scores
+            if not all_valid:
+                weight_matrix[:, ~valid] = 0.0
+        if self._overflow:
+            self._patch_overflow(weight_matrix, groups, candidates)
+        return weight_matrix
 
     def _patch_overflow(
         self,
         weight_matrix: np.ndarray,
-        cg: CompiledGraph,
+        groups: List[Optional[Tuple[int, int]]],
         candidates: np.ndarray,
-        ks: int,
-        ke: int,
-        es: int,
-        ee: int,
-        us: int,
-        ue: int,
-        edge_other_ids: List[int],
-        use_unary: bool,
     ) -> None:
         """Write post-pack weights into the gathered matrix, in place.
 
-        Runs only while the trainer has unrepacked updates; the factory
-        rows keep their factor order so the reduction stays sequential.
+        Runs only while the trainer has unrepacked updates.  It runs after
+        the out-of-range mask, because a label interned after the pack
+        (id at or above :attr:`label_base`) can only hold an overflow
+        weight.
         """
         overflow = self._overflow
-        cols = cg.cols
-        f = 0
-        for rel, label in zip(
-            cols.known_rel_list[ks:ke], cols.known_label_list[ks:ke]
-        ):
-            bucket = overflow.get((rel, label))
+        column_of = {label: j for j, label in enumerate(candidates.tolist())}
+        for f, group in enumerate(groups):
+            bucket = overflow.get(group) if group is not None else None
             if bucket:
-                for lbl, value in bucket.items():
-                    weight_matrix[f, candidates == lbl] = value
-            f += 1
-        for rel, other in zip(cols.edge_rel_list[es:ee], edge_other_ids):
-            bucket = overflow.get((rel, other)) if other >= 0 else None
-            if bucket:
-                for lbl, value in bucket.items():
-                    weight_matrix[f, candidates == lbl] = value
-            f += 1
-        if use_unary:
-            for rel in cols.unary_rel_list[us:ue]:
-                bucket = overflow.get((rel, UNARY_OTHER))
-                if bucket:
-                    for lbl, value in bucket.items():
-                        weight_matrix[f, candidates == lbl] = value
-                f += 1
+                row = weight_matrix[f]
+                for label in bucket.keys() & column_of.keys():
+                    row[column_of[label]] = bucket[label]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -15,7 +15,10 @@ ids end-to-end (labels decode only at the return boundary), whole beams
 scored per numpy call, and nodes whose neighbourhood has not changed
 since they were last scored skipped outright (their candidates and best
 label are pure functions of the neighbour ids, so skipping is exact, not
-approximate).  A caller holding a trained
+approximate).  A visit redoes only what depends on the neighbours'
+current labels: the known/unary candidate tally, the known-factor score
+prefix and the unary weight rows are computed once per node per call,
+and a node whose beam is already full asks for no candidates at all.  A caller holding a trained
 :class:`~repro.learning.crf.model.CrfModel` compiles it once with
 ``model.compile()``.
 
@@ -36,6 +39,8 @@ from .graph import CrfGraph
 #: Label used to initialise nodes before the first sweep, and the
 #: explicit fallback candidate when a node's beam comes back empty.
 UNKNOWN_LABEL = "?"
+
+_EMPTY = np.empty(0, dtype=np.int64)
 
 
 def map_inference(
@@ -84,7 +89,15 @@ def map_inference(
                 gid = fill if label == UNKNOWN_LABEL else -2
             gold_ids.append(gid)
 
+    # Per-call state, dropped at return.  A node's candidate beam only
+    # grows and is truncated to ``beam``, so once it is full a re-visit
+    # would merge in nothing (no candidate call at all); ``tallies`` holds
+    # each node's assignment-independent candidate contexts, and
+    # ``score_memo`` its known-factor prefix sums and unary weight rows.
     candidate_cache: List[List[int]] = [[] for _ in range(n)]
+    candidate_arrays: List[np.ndarray] = [_EMPTY] * n
+    tallies = [model.candidate_tally(node) for node in graph.unknowns]
+    score_memo: dict = {}
     # Last-scored neighbour snapshot per node; a node whose snapshot is
     # unchanged would merge identical candidates and pick the identical
     # best label, so the sweep skips it.
@@ -98,6 +111,21 @@ def map_inference(
             return ()
         return tuple(assignment[edge_other[start:end]].tolist())
 
+    def visit(i: int) -> int:
+        cached = candidate_cache[i]
+        if len(cached) < beam:
+            fresh = model.candidate_ids_for(
+                graph.unknowns[i], assignment_list, beam=beam, tally=tallies[i]
+            )
+            merged = list(dict.fromkeys(cached + fresh))[:beam]
+            if merged != cached:
+                candidate_cache[i] = merged
+                candidate_arrays[i] = np.asarray(merged, dtype=np.int64)
+        return _best_id(
+            compiled, cg, i, candidate_arrays[i], assignment,
+            loss_augmented, gold_ids, fill, memo=score_memo,
+        )
+
     known_off, unary_off = cg.known_off, cg.unary_off
     order = sorted(
         range(n),
@@ -106,12 +134,7 @@ def map_inference(
         ),
     )
     for i in order:
-        node = graph.unknowns[i]
-        candidates = model.candidate_ids_for(node, assignment_list, beam=beam)
-        candidate_cache[i] = candidates
-        best = _best_id(
-            compiled, cg, i, candidates, assignment, loss_augmented, gold_ids, fill
-        )
+        best = visit(i)
         assignment[i] = best
         assignment_list[i] = best
         last_key[i] = neighbor_key(i)
@@ -122,13 +145,7 @@ def map_inference(
             key = neighbor_key(i)
             if key == last_key[i]:
                 continue
-            node = graph.unknowns[i]
-            candidates = model.candidate_ids_for(node, assignment_list, beam=beam)
-            merged = list(dict.fromkeys(candidate_cache[i] + candidates))[:beam]
-            candidate_cache[i] = merged
-            best = _best_id(
-                compiled, cg, i, merged, assignment, loss_augmented, gold_ids, fill
-            )
+            best = visit(i)
             last_key[i] = key
             if best != assignment[i]:
                 assignment[i] = best
@@ -151,14 +168,15 @@ def _best_id(
     loss_augmented: bool,
     gold_ids: Optional[List[int]],
     fill: int,
+    memo: Optional[dict] = None,
 ) -> int:
-    if not candidate_ids:
+    if len(candidate_ids) == 0:
         # Explicit empty-beam fallback: score the unknown sentinel (an
         # unseen label scores exactly 0.0) rather than keeping whatever
         # the assignment happened to hold.
         candidate_ids = [fill]
     candidates = np.asarray(candidate_ids, dtype=np.int64)
-    scores = compiled.score_candidates(cg, index, candidates, assignment)
+    scores = compiled.score_candidates(cg, index, candidates, assignment, memo=memo)
     if loss_augmented:
         assert gold_ids is not None
         scores = scores + np.where(candidates != gold_ids[index], 1.0, 0.0)

@@ -165,6 +165,32 @@ class CrfModel:
             self._label_rank_size = size
         return self._label_rank
 
+    def candidate_tally(
+        self, node: UnknownNode, per_context: int = 12
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The assignment-independent half of a node's candidates.
+
+        Its known-factor and unary contexts merged into one ``(ids,
+        int64 sums)`` tally.  ICM computes it once per node per inference
+        call and hands it to every :meth:`candidate_ids_for` visit, which
+        then merges only the edge contexts into it.
+        """
+        self._sync_cand_caches()
+        arrays = self._top_candidate_arrays
+        parts: List[Tuple[np.ndarray, np.ndarray]] = []
+        for factor in node.known:
+            counter = self.candidate_index.get((factor.rel, factor.label))
+            if counter:
+                parts.append(
+                    arrays(("p", factor.rel, factor.label), counter, per_context)
+                )
+        if self.use_unary:
+            for rel in node.unary:
+                counter = self.unary_candidate_index.get(rel)
+                if counter:
+                    parts.append(arrays(("u", rel), counter, per_context))
+        return _merge_tallies(parts)
+
     def candidate_ids_for(
         self,
         node: UnknownNode,
@@ -172,59 +198,41 @@ class CrfModel:
         beam: int = 48,
         per_context: int = 12,
         global_fallback: int = 8,
+        tally: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> List[int]:
         """Candidate label ids for one node given its neighbourhood.
 
         ``assignment_ids`` maps node index -> current label id, with any
         negative value standing for "outside the model vocabulary" (the
-        id-space equivalent of an unseen label string).
+        id-space equivalent of an unseen label string).  ``tally`` is the
+        node's :meth:`candidate_tally` for the same ``per_context``, when
+        the caller keeps it across visits.
         """
         # The merge is vectorised but order-identical to summing counts
         # into a dict and ranking with sorted(key=(-count, label string)):
         # counts stay int64 (exact sums in any order), and ties break on
         # the precomputed string rank -- so candidate order is a function
         # of the corpus, never of interning or context order.
+        if tally is None:
+            tally = self.candidate_tally(node, per_context)
         self._sync_cand_caches()
-        arrays = self._top_candidate_arrays
-        parts_ids: List[np.ndarray] = []
-        parts_counts: List[np.ndarray] = []
-
-        for factor in node.known:
-            counter = self.candidate_index.get((factor.rel, factor.label))
-            if counter:
-                ids, counts = arrays(
-                    ("p", factor.rel, factor.label), counter, per_context
-                )
-                parts_ids.append(ids)
-                parts_counts.append(counts)
+        parts = [tally]
         for edge in node.edges:
             other_id = assignment_ids[edge.other]
             if other_id < 0:
                 continue
             counter = self.candidate_index.get((edge.rel, other_id))
             if counter:
-                ids, counts = arrays(("p", edge.rel, other_id), counter, per_context)
-                parts_ids.append(ids)
-                parts_counts.append(counts)
-        if self.use_unary:
-            for rel in node.unary:
-                counter = self.unary_candidate_index.get(rel)
-                if counter:
-                    ids, counts = arrays(("u", rel), counter, per_context)
-                    parts_ids.append(ids)
-                    parts_counts.append(counts)
+                parts.append(
+                    self._top_candidate_arrays(
+                        ("p", edge.rel, other_id), counter, per_context
+                    )
+                )
+        uniq, sums = _merge_tallies(parts)
 
         fallback = self._top_candidates(("g",), self.label_counts, global_fallback)
-        if parts_ids:
-            uniq, inverse = np.unique(np.concatenate(parts_ids), return_inverse=True)
-            sums = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(sums, inverse, np.concatenate(parts_counts))
-            present = set(uniq.tolist())
-            extra = [(lid, c) for lid, c in fallback if lid not in present]
-        else:
-            uniq = np.empty(0, dtype=np.int64)
-            sums = np.empty(0, dtype=np.int64)
-            extra = list(fallback)
+        present = set(uniq.tolist())
+        extra = [(lid, c) for lid, c in fallback if lid not in present]
         if extra:
             uniq = np.concatenate(
                 [uniq, np.fromiter((l for l, _ in extra), np.int64, len(extra))]
@@ -378,3 +386,19 @@ class CrfModel:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         return cls.from_dict(data, space=space if space is not None else DEFAULT_SPACE)
+
+
+def _merge_tallies(
+    parts: List[Tuple[np.ndarray, np.ndarray]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum ``(ids, counts)`` parts, each free of repeated ids, by id."""
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if len(parts) == 1:
+        return parts[0]
+    uniq, inverse = np.unique(
+        np.concatenate([ids for ids, _ in parts]), return_inverse=True
+    )
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, inverse, np.concatenate([counts for _, counts in parts]))
+    return uniq, sums

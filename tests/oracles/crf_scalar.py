@@ -21,23 +21,6 @@ from repro.learning.crf.inference import UNKNOWN_LABEL
 from repro.learning.crf.model import CrfModel
 
 
-class _AssignmentIdView:
-    """Lazy id view of a string assignment (unseen labels read as ``-1``)."""
-
-    __slots__ = ("_values", "_assignment")
-
-    def __init__(self, values, assignment: Sequence[str]) -> None:
-        self._values = values
-        self._assignment = assignment
-
-    def __getitem__(self, index: int) -> int:
-        label_id = self._values.id_of(self._assignment[index])
-        return -1 if label_id is None else label_id
-
-    def __len__(self) -> int:
-        return len(self._assignment)
-
-
 def node_score(
     model: CrfModel,
     node: UnknownNode,
@@ -89,16 +72,35 @@ def candidates_for(
     per_context: int = 12,
     global_fallback: int = 8,
 ) -> List[str]:
-    """Candidate labels for one node given its neighbourhood."""
+    """Candidate labels for one node given its neighbourhood.
+
+    Every observed context (known neighbour, current neighbour label,
+    unary relation) votes the ``most_common(per_context)`` prefix of its
+    gold-label counter; the global fallback adds the most frequent
+    labels not voted for yet.  Ranked by total votes, ties by label
+    string.
+    """
     values = model.space.values
-    ranked = model.candidate_ids_for(
-        node,
-        _AssignmentIdView(values, assignment),
-        beam=beam,
-        per_context=per_context,
-        global_fallback=global_fallback,
+    counters = [
+        model.candidate_index.get((factor.rel, factor.label)) for factor in node.known
+    ]
+    for edge in node.edges:
+        other_id = values.id_of(assignment[edge.other])
+        if other_id is not None:
+            counters.append(model.candidate_index.get((edge.rel, other_id)))
+    if model.use_unary:
+        counters += [model.unary_candidate_index.get(rel) for rel in node.unary]
+    votes: Dict[int, int] = {}
+    for counter in counters:
+        if counter:
+            for label_id, count in counter.most_common(per_context):
+                votes[label_id] = votes.get(label_id, 0) + count
+    for label_id, count in model.label_counts.most_common(global_fallback):
+        votes.setdefault(label_id, count)
+    labels = sorted(
+        ((-count, values.value(label_id)) for label_id, count in votes.items())
     )
-    return [values.value(label_id) for label_id in ranked]
+    return [label for _, label in labels[:beam]]
 
 
 def map_inference(

@@ -379,3 +379,178 @@ class TestCompiledModelShape:
             cg, 0, np.array([-1, beyond], dtype=np.int64), assignment
         )
         assert scores.tolist() == [0.0, 0.0]
+
+
+class TestSweepHoist:
+    """Each ICM visit redoes only the work that depends on the neighbours'
+    current labels; the rest is computed once per inference call."""
+
+    def test_full_beam_skips_candidate_regeneration(self, monkeypatch):
+        graph = CrfGraph()
+        full = graph.add_unknown("full")
+        short = graph.add_unknown("short")
+        hub = graph.add_unknown("hub")
+        for node, ctx in ((full, "ctx-wide"), (short, "ctx-narrow")):
+            graph.add_known_factor(node, "rel", ctx)
+            graph.add_known_factor(node, "rel", ctx)
+            graph.add_unknown_factor(node, hub, "edge", "edge-back")
+        model = CrfModel(space=graph.space)
+        rel = model.rel_id("rel")
+        wide = model.candidate_index[(rel, model.label_id("ctx-wide"))]
+        for i in range(8):
+            wide[model.label_id(f"w{i}")] = 8 - i
+        model.candidate_index[(rel, model.label_id("ctx-narrow"))][
+            model.label_id("n0")
+        ] = 3
+        model.label_counts[model.label_id("h0")] = 1
+        compiled = model.compile()
+
+        calls = []
+        original = CrfModel.candidate_ids_for
+
+        def counting(self, node, *args, **kwargs):
+            calls.append(node.key)
+            return original(self, node, *args, **kwargs)
+
+        monkeypatch.setattr(CrfModel, "candidate_ids_for", counting)
+        # Initialisation visits "full" and "short" (most known factors)
+        # before "hub", so both see a new neighbour label in the first
+        # sweep and are visited again.
+        for _ in range(2):
+            calls.clear()
+            predicted = map_inference(compiled, graph, beam=6)
+            assert calls.count("full") == 1  # beam of 6 filled at init
+            assert calls.count("short") == 2  # ["n0", "h0"]: regenerated
+        assert predicted == crf_scalar.map_inference(model, graph, beam=6)
+
+    def test_memoized_scores_match_oracle_with_overflow(self):
+        space = FeatureSpace()
+        model = _random_model(space)
+        compiled = model.compile()
+        values = space.values
+        base = compiled.label_base
+        graph = _random_graph(space, seed=88)
+        # A label and relations interned after the pack: their groups and
+        # weights can only live in the write-through overflow.
+        late = model.label_id("late-label")
+        late_rel = model.rel_id("late-rel")
+        late_edge = model.rel_id("late-edge")
+        assert late >= base
+        graph.add_known_factor(0, late_rel, "lbl3")
+        graph.add_unknown_factor(0, 1, late_edge, "rel0")
+        graph.add_unary_factor(0, late_rel)
+        lbl = [model.label_id(label) for label in LABELS[:6]]
+        updates = [
+            (late, late_rel, model.label_id("lbl3")),  # new group, late label
+            (lbl[0], late_rel, model.label_id("lbl3")),  # new group
+            (lbl[1], late_edge, late),  # edge group keyed by a late label
+            (late, late_edge, lbl[2]),
+        ]
+        node = graph.unknowns[0]
+        for factor in node.known[:2]:
+            updates.append((late, factor.rel, factor.label))  # existing group
+        for key in updates:
+            model.pair_weights[key] = 0.25 + len(model.pair_weights) % 7 * 0.5
+            compiled.set_pair(key, model.pair_weights[key])
+        for ukey in ((late, late_rel), (lbl[3], late_rel)):
+            model.unary_weights[ukey] = -0.75
+            compiled.set_unary(ukey, model.unary_weights[ukey])
+        assert compiled._overflow
+
+        cg = compiled.compile_graph(graph)
+        rng = random.Random(3)
+        memo = {}
+        for visit in range(4):
+            # Visit 2 brings a new candidate vector of the same length.
+            tail = lbl if visit != 2 else [model.label_id(x) for x in LABELS[6:12]]
+            candidates = np.array([late, -1, *tail], dtype=np.int64)
+            labels = [rng.choice(LABELS + ["late-label"]) for _ in graph.unknowns]
+            labels[1] = ["late-label", "lbl2", "lbl4", "late-label"][visit]
+            assignment = np.array([values.id_of(x) for x in labels], dtype=np.int64)
+            scores = compiled.score_candidates(cg, 0, candidates, assignment, memo=memo)
+            assert 0 in memo  # the known prefix is kept from the first visit
+            expected = [
+                crf_scalar.node_score(
+                    model, node, values.value(c) if c >= 0 else UNKNOWN_LABEL, labels
+                )
+                for c in candidates.tolist()
+            ]
+            assert scores.tolist() == expected
+            assert scores.tolist() == compiled.score_candidates(
+                cg, 0, candidates, assignment
+            ).tolist()
+            assert scores[0] != 0.0  # the late label's overflow weights count
+
+    def test_long_factor_lists_sum_in_factor_order(self):
+        """A pairwise or blocked reduction rounds differently from the
+        scalar running sum once a node has more than a few factors."""
+        space = FeatureSpace()
+        graph = CrfGraph(space=space)
+        node = graph.add_unknown("long")
+        other = graph.add_unknown("other")
+        model = CrfModel(space=space)
+        rng = random.Random(17)
+        labels = [model.label_id(label) for label in LABELS]
+        for f in range(40):
+            graph.add_known_factor(node, f"k{f}", f"v{f}")
+        for f in range(12):
+            graph.add_unknown_factor(node, other, f"e{f}", f"back{f}")
+            graph.add_unary_factor(node, f"u{f}")
+        for factor in graph.unknowns[node].known:
+            for label in labels:
+                model.pair_weights[(label, factor.rel, factor.label)] = (
+                    rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-3, 3)
+                )
+        for edge in graph.unknowns[node].edges:
+            for label in labels:
+                model.pair_weights[(label, edge.rel, labels[0])] = rng.gauss(0.0, 1.0)
+        for rel in graph.unknowns[node].unary:
+            for label in labels:
+                model.unary_weights[(label, rel)] = rng.gauss(0.0, 1.0)
+        compiled = model.compile()
+        cg = compiled.compile_graph(graph)
+        assignment = np.array([labels[0], labels[0]], dtype=np.int64)
+        fixed = ["?", LABELS[0]]
+        # numpy sums a single column pairwise, so one candidate is the
+        # beam that tells a factor-order reduction from ``sum``.
+        for beam in (LABELS, LABELS[3:4]):
+            candidates = np.array([space.values.id_of(x) for x in beam])
+            expected = [
+                crf_scalar.node_score(model, graph.unknowns[node], label, fixed)
+                for label in beam
+            ]
+            memo = {}
+            for _ in range(2):  # a first visit, then the memoized re-visit
+                scores = compiled.score_candidates(
+                    cg, node, candidates, assignment, memo=memo
+                )
+                assert scores.tolist() == expected
+
+    @pytest.mark.parametrize("use_unary", [True, False])
+    def test_candidate_ranking_matches_oracle(self, use_unary):
+        """The per-call tally plus per-visit edge merge ranks exactly like
+        the oracle's vote count, with counters longer than ``per_context``."""
+        space = FeatureSpace()
+        model = CrfModel(space=space, use_unary=use_unary)
+        for seed in range(40):
+            graph = _random_graph(space, seed=seed)
+            for node in graph.unknowns:
+                model.observe_training_node(node, graph)
+        assert max(len(c) for c in model.candidate_index.values()) > 12
+        rng = random.Random(9)
+        values = space.values
+        for seed in (101, 102):
+            graph = _random_graph(space, seed=seed)
+            labels = [rng.choice(LABELS + ["unseen"]) for _ in graph.unknowns]
+            ids = [-1 if label == "unseen" else values.id_of(label) for label in labels]
+            for node in graph.unknowns:
+                tally = model.candidate_tally(node)
+                for beam in (5, 48):
+                    expected = crf_scalar.candidates_for(
+                        model, node, labels, beam=beam
+                    )
+                    for kwargs in ({}, {"tally": tally}):
+                        ranked = model.candidate_ids_for(
+                            node, ids, beam=beam, **kwargs
+                        )
+                        assert [values.value(i) for i in ranked] == expected
